@@ -44,10 +44,14 @@ struct BlockProfile {
 
   std::uint64_t accesses() const noexcept { return reads + writes; }
   double avg_reads_per_reference() const noexcept {
-    return references ? static_cast<double>(reads) / references : 0.0;
+    return references ? static_cast<double>(reads) /
+                            static_cast<double>(references)
+                      : 0.0;
   }
   double avg_writes_per_reference() const noexcept {
-    return references ? static_cast<double>(writes) / references : 0.0;
+    return references ? static_cast<double>(writes) /
+                            static_cast<double>(references)
+                      : 0.0;
   }
 
   /// The paper's block susceptibility: references x lifetime

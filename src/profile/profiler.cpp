@@ -50,9 +50,10 @@ ProgramProfile profile_workload(const Workload& workload) {
   for (std::size_t i = 0; i < out.blocks.size(); ++i)
     out.blocks[i].id = static_cast<BlockId>(i);
 
-  std::vector<WordState> words(program.block_count());
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const Block& b = program.block(static_cast<BlockId>(i));
+  const std::vector<Block>& blocks = program.blocks();
+  std::vector<WordState> words(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const Block& b = blocks[i];
     if (b.is_data()) {
       words[i].value_born.assign(b.size_words(), 0);
       words[i].last_read.assign(b.size_words(), 0);
@@ -105,6 +106,7 @@ ProgramProfile profile_workload(const Workload& workload) {
       case AccessType::Fetch: {
         switch_current(current_code, code_since, e.block);
         bp.reads += e.repeat;
+        out.total_accesses += e.repeat;
         now += e.nominal_cycles();
         last_fetch[e.block] = now;
         break;
@@ -113,25 +115,59 @@ ProgramProfile profile_workload(const Workload& workload) {
       case AccessType::Write: {
         switch_current(current_data, data_since, e.block);
         WordState& ws = words[e.block];
-        const std::uint32_t n_words = program.block(e.block).size_words();
+        const std::uint32_t n_words = blocks[e.block].size_words();
         const std::uint64_t step = e.gap + 1ULL;
-        const bool is_read = e.type == AccessType::Read;
-        if (is_read)
+        out.total_accesses += e.repeat;
+        // Access k (0-based) touches word (offset + k) % n_words at
+        // cycle now + (k + 1) * step. Only one lap matters per word: a
+        // read leaves its last lap's stamps, and of a write's visits
+        // only the first can close an ACE interval (it zeroes
+        // last_read); later laps just count and move value_born.
+        const std::uint32_t lap = std::min(e.repeat, n_words);
+        // Stamps accesses k .. k + len - 1 into `cycles` at words
+        // w .. w + len - 1 (a for_each_stretch visitor).
+        const auto stamp = [&](std::vector<std::uint64_t>& cycles) {
+          return [&](std::uint32_t w, std::uint32_t k, std::uint32_t len) {
+            std::uint64_t t = now + k * step;
+            for (std::uint32_t i = w; i < w + len; ++i) cycles[i] = t += step;
+          };
+        };
+        if (e.type == AccessType::Read) {
           bp.reads += e.repeat;
-        else
+          for_each_stretch(e, n_words, e.repeat - lap, lap,
+                           stamp(ws.last_read));
+        } else {
           bp.writes += e.repeat;
-        for (std::uint32_t k = 0; k < e.repeat; ++k) {
-          const std::uint32_t w = (e.offset + k) % n_words;
-          const std::uint64_t t = now + (k + 1) * step;
-          if (is_read) {
-            ws.last_read[w] = t;
-          } else {
-            // Close the previous value's vulnerable interval.
-            if (ws.last_read[w] > ws.value_born[w])
-              bp.ace_cycles += ws.last_read[w] - ws.value_born[w];
-            ws.value_born[w] = t;
-            ws.last_read[w] = 0;
-            ++ws.write_count[w];
+          std::uint64_t ace = 0;
+          for_each_stretch(
+              e, n_words, 0, lap,
+              [&](std::uint32_t w, std::uint32_t k, std::uint32_t len) {
+                std::uint64_t t = now + k * step;
+                for (std::uint32_t i = w; i < w + len; ++i) {
+                  // Close the previous value's vulnerable interval.
+                  if (ws.last_read[i] > ws.value_born[i])
+                    ace += ws.last_read[i] - ws.value_born[i];
+                  ws.value_born[i] = t += step;
+                  ws.last_read[i] = 0;
+                  ++ws.write_count[i];
+                }
+              });
+          bp.ace_cycles += ace;
+          if (e.repeat > lap) {
+            // Later laps: every word repeat / n_words - 1 more times,
+            // the first repeat % n_words from offset once more, and the
+            // last lap's stamps stay.
+            const std::uint32_t laps = e.repeat / n_words - 1;
+            if (laps > 0)
+              for (std::uint64_t& c : ws.write_count) c += laps;
+            for_each_stretch(
+                e, n_words, 0, e.repeat % n_words,
+                [&](std::uint32_t w, std::uint32_t, std::uint32_t len) {
+                  for (std::uint32_t i = w; i < w + len; ++i)
+                    ++ws.write_count[i];
+                });
+            for_each_stretch(e, n_words, e.repeat - lap, lap,
+                             stamp(ws.value_born));
           }
         }
         now += e.nominal_cycles();
@@ -145,8 +181,8 @@ ProgramProfile profile_workload(const Workload& workload) {
     out.blocks[*current_code].lifetime_cycles += now - code_since;
   if (current_data)
     out.blocks[*current_data].lifetime_cycles += now - data_since;
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const Block& b = program.block(static_cast<BlockId>(i));
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const Block& b = blocks[i];
     BlockProfile& bp = out.blocks[i];
     if (b.is_data()) {
       WordState& ws = words[i];
@@ -164,7 +200,6 @@ ProgramProfile profile_workload(const Workload& workload) {
   }
 
   out.total_cycles = now;
-  out.total_accesses = workload.total_accesses();
   return out;
 }
 

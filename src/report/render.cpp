@@ -84,9 +84,11 @@ std::string render_rw_distribution(const SpmLayout& layout,
   for (RegionId r = 0; r < layout.region_count(); ++r) {
     const RegionRunStats& s = run.regions[r];
     t.add_row({layout.region(r).name, with_commas(s.reads),
-               total_r > 0 ? percent(s.reads / total_r) : "-",
+               total_r > 0 ? percent(static_cast<double>(s.reads) / total_r)
+                           : "-",
                with_commas(s.writes),
-               total_w > 0 ? percent(s.writes / total_w) : "-"});
+               total_w > 0 ? percent(static_cast<double>(s.writes) / total_w)
+                           : "-"});
   }
   return t.render();
 }

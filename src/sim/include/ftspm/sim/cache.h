@@ -6,6 +6,7 @@
 // true LRU, write-allocate, write-back; no coherence (single core).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,7 +29,9 @@ struct CacheStats {
   std::uint64_t accesses() const noexcept { return reads + writes; }
   std::uint64_t misses() const noexcept { return read_misses + write_misses; }
   double miss_rate() const noexcept {
-    return accesses() ? static_cast<double>(misses()) / accesses() : 0.0;
+    return accesses() ? static_cast<double>(misses()) /
+                            static_cast<double>(accesses())
+                      : 0.0;
   }
 };
 
@@ -48,6 +51,13 @@ class Cache {
   /// Performs one word access at byte address `addr`.
   CacheAccessResult access(std::uint64_t addr, bool is_write);
 
+  /// Books `n` more accesses to the line the last access() touched
+  /// (call access() first). They are guaranteed hits, so the tick, LRU
+  /// stamp, dirty bit and read/write counts end exactly as after `n`
+  /// repeated access() calls to that line. Serves a run of consecutive
+  /// words in one line.
+  void repeat_last(std::uint32_t n, bool is_write) noexcept;
+
   /// Invalidates everything and clears statistics.
   void reset();
 
@@ -63,7 +73,10 @@ class Cache {
   CacheStats stats_;
   std::vector<Line> lines_;  ///< sets * ways, row-major by set.
   std::uint32_t sets_ = 0;
+  std::uint32_t line_shift_ = 0;  ///< log2(line_bytes).
+  std::uint32_t set_shift_ = 0;   ///< log2(sets_).
   std::uint64_t tick_ = 0;
+  std::size_t last_ = 0;  ///< Index of the line access() last touched.
 };
 
 }  // namespace ftspm

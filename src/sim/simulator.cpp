@@ -1,6 +1,7 @@
 #include "ftspm/sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <memory>
@@ -70,6 +71,14 @@ Simulator::Simulator(SpmLayout layout, SimConfig config)
 
 namespace {
 
+/// Per-block facts the run loop reads on every event, gathered once
+/// per run so the loop makes no checked Program/SpmLayout calls.
+struct BlockInfo {
+  std::uint64_t base_word = 0;  ///< Off-chip base address in words.
+  std::uint32_t words = 0;
+  RegionId region = kNoRegion;
+};
+
 /// Runtime residency bookkeeping for one block.
 struct BlockState {
   bool resident = false;
@@ -118,10 +127,14 @@ RunResult Simulator::run_impl(
   const Program& program = workload.program;
   FTSPM_REQUIRE(block_to_region.size() == program.block_count(),
                 "mapping must cover every block");
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
+  const std::size_t block_count = program.block_count();
+  std::vector<BlockInfo> info(block_count);
+  for (std::size_t i = 0; i < block_count; ++i) {
     const RegionId r = block_to_region[i];
-    if (r == kNoRegion) continue;
     const Block& b = program.block(static_cast<BlockId>(i));
+    info[i] = BlockInfo{program.base_address(static_cast<BlockId>(i)) / 8,
+                        b.size_words(), r};
+    if (r == kNoRegion) continue;
     const SpmRegionSpec& spec = layout_.region(r);
     FTSPM_REQUIRE(b.size_bytes <= spec.data_bytes,
                   "block " + b.name + " does not fit region " + spec.name);
@@ -134,16 +147,17 @@ RunResult Simulator::run_impl(
   res.layout_name = layout_.name();
   res.clock_mhz = config_.clock_mhz;
   res.regions.resize(layout_.region_count());
-  res.block_max_word_writes.assign(program.block_count(), 0);
-  res.block_spm_accesses.assign(program.block_count(), 0);
-  res.block_cache_accesses.assign(program.block_count(), 0);
+  res.block_max_word_writes.assign(block_count, 0);
+  res.block_spm_accesses.assign(block_count, 0);
+  res.block_cache_accesses.assign(block_count, 0);
+  const SpmRegionSpec* const specs = layout_.regions().data();
 
   Cache icache(config_.icache);
   Cache dcache(config_.dcache);
   const std::uint32_t line_words = config_.icache.line_bytes / 8;
   const std::uint32_t dline_words = config_.dcache.line_bytes / 8;
 
-  std::vector<BlockState> blocks(program.block_count());
+  std::vector<BlockState> blocks(block_count);
   std::vector<RegionState> regions(layout_.region_count());
   std::uint64_t tick = 0;
 
@@ -189,15 +203,16 @@ RunResult Simulator::run_impl(
   // DMA transfer of `words` words of `blk` between DRAM and a region.
   auto dma_transfer = [&](RegionId rid, BlockId blk, std::uint64_t words,
                           bool into_spm) {
-    const SpmRegionSpec& spec = layout_.region(rid);
+    const SpmRegionSpec& spec = specs[rid];
     const std::uint32_t spm_lat = into_spm ? spec.tech.write_latency_cycles
                                            : spec.tech.read_latency_cycles;
     const std::uint64_t cycles =
         dma_transfer_cycles(config_.dma, config_.dram, spm_lat, words);
-    const double dram_e = words * (into_spm ? config_.dram.read_energy_pj
-                                            : config_.dram.write_energy_pj);
-    const double spm_e = words * (into_spm ? spec.tech.write_energy_pj
-                                           : spec.tech.read_energy_pj);
+    const double dwords = static_cast<double>(words);
+    const double dram_e = dwords * (into_spm ? config_.dram.read_energy_pj
+                                             : config_.dram.write_energy_pj);
+    const double spm_e = dwords * (into_spm ? spec.tech.write_energy_pj
+                                            : spec.tech.read_energy_pj);
     if constexpr (WithObs) {
       obs_state->dma_transfers->add(1);
       obs_state->dma_words->add(words);
@@ -232,15 +247,14 @@ RunResult Simulator::run_impl(
         obs_state->trace->instant(
             obs_state->spm_lane, "evict " + program.block(victim).name,
             now(),
-            {obs::TraceArg::str("region", layout_.region(rid).name),
+            {obs::TraceArg::str("region", specs[rid].name),
              obs::TraceArg::str("dirty", vs.dirty ? "yes" : "no")});
       }
     }
-    if (vs.dirty)
-      dma_transfer(rid, victim, program.block(victim).size_words(), false);
+    if (vs.dirty) dma_transfer(rid, victim, info[victim].words, false);
     vs.resident = false;
     vs.dirty = false;
-    rs.used_words -= program.block(victim).size_words();
+    rs.used_words -= info[victim].words;
     rs.resident.erase(std::find(rs.resident.begin(), rs.resident.end(),
                                 victim));
   };
@@ -250,8 +264,8 @@ RunResult Simulator::run_impl(
     bs.last_use = ++tick;
     if (bs.resident) return;
     RegionState& rs = regions[rid];
-    const std::uint64_t need = program.block(id).size_words();
-    while (rs.used_words + need > layout_.region(rid).data_words()) {
+    const std::uint64_t need = info[id].words;
+    while (rs.used_words + need > specs[rid].data_words()) {
       FTSPM_CHECK(!rs.resident.empty(),
                   "allocator invariant: block fits an empty region");
       // Evict the least-recently-used resident block.
@@ -306,6 +320,23 @@ RunResult Simulator::run_impl(
     }
   };
 
+  // `n` further accesses to the line cache_access() just touched: all
+  // hits. Energy stays one add per access so the sums round exactly as
+  // a per-word replay's do.
+  auto cache_hits = [&](Cache& cache, std::uint32_t n, bool is_write) {
+    cache.repeat_last(n, is_write);
+    const std::uint64_t cycles =
+        static_cast<std::uint64_t>(n) * cache.config().hit_latency_cycles;
+    res.cache_cycles += cycles;
+    for (std::uint32_t k = 0; k < n; ++k)
+      res.cache_energy_pj += config_.cache_access_energy_pj;
+    if constexpr (WithObs) {
+      cur_phase->cache_cycles += cycles;
+      for (std::uint32_t k = 0; k < n; ++k)
+        cur_phase->cache_energy_pj += config_.cache_access_energy_pj;
+    }
+  };
+
   for (const TraceEvent& e : workload.trace) {
     if (e.is_marker()) {
       if constexpr (WithObs) {
@@ -325,8 +356,9 @@ RunResult Simulator::run_impl(
       }
       continue;
     }
-    const Block& blk = program.block(e.block);
-    const std::uint32_t n_words = blk.size_words();
+    FTSPM_REQUIRE(e.block < block_count, "block id out of range");
+    const BlockInfo& bi = info[e.block];
+    const std::uint32_t n_words = bi.words;
     res.compute_cycles += static_cast<std::uint64_t>(e.gap) * e.repeat;
     if constexpr (WithObs) {
       cur_phase->compute_cycles += static_cast<std::uint64_t>(e.gap) *
@@ -334,13 +366,13 @@ RunResult Simulator::run_impl(
       cur_phase->accesses += e.repeat;
     }
 
-    const RegionId rid = block_to_region[e.block];
+    const RegionId rid = bi.region;
     const bool is_write = e.type == AccessType::Write;
 
     if (rid != kNoRegion) {
       res.block_spm_accesses[e.block] += e.repeat;
       ensure_resident(e.block, rid);
-      const SpmRegionSpec& spec = layout_.region(rid);
+      const SpmRegionSpec& spec = specs[rid];
       RegionRunStats& rstats = res.regions[rid];
       BlockState& bs = blocks[e.block];
       if constexpr (WithObs) {
@@ -360,10 +392,18 @@ RunResult Simulator::run_impl(
                           spec.tech.write_latency_cycles;
         bs.dirty = true;
         if (spec.tech.endurance_writes > 0.0) {
-          // Endurance-limited technology: track per-word wear.
+          // Endurance-limited technology: track per-word wear. Every
+          // full lap of the block writes each word once, the remainder
+          // the first repeat % n_words words from the offset.
           if (bs.wear.empty()) bs.wear.assign(n_words, 0);
-          for (std::uint32_t k = 0; k < e.repeat; ++k)
-            ++bs.wear[(e.offset + k) % n_words];
+          const std::uint32_t laps = e.repeat / n_words;
+          if (laps > 0)
+            for (std::uint64_t& count : bs.wear) count += laps;
+          for_each_stretch(
+              e, n_words, 0, e.repeat % n_words,
+              [&](std::uint32_t w, std::uint32_t, std::uint32_t len) {
+                for (std::uint32_t i = w; i < w + len; ++i) ++bs.wear[i];
+              });
         }
       } else {
         rstats.reads += e.repeat;
@@ -376,32 +416,49 @@ RunResult Simulator::run_impl(
       const bool is_code = e.type == AccessType::Fetch;
       Cache& cache = is_code ? icache : dcache;
       const std::uint32_t cline = is_code ? line_words : dline_words;
-      const std::uint64_t base = program.base_address(e.block);
       const char* fill_counter = is_code ? "icache_fills" : "dcache_fills";
-      for (std::uint32_t k = 0; k < e.repeat; ++k) {
-        const std::uint64_t addr =
-            base + static_cast<std::uint64_t>((e.offset + k) % n_words) * 8;
-        cache_access(cache, cline, addr, is_write, fill_counter);
+      // Serve the run one cache line at a time: the first word of each
+      // stretch of consecutive words in one line is a real lookup, the
+      // rest are hits on the line it just touched. A stretch that
+      // continues the previous one's line (a block smaller than a line,
+      // wrapping) is all hits.
+      std::uint32_t w = e.offset % n_words;
+      std::uint64_t prev_line = std::numeric_limits<std::uint64_t>::max();
+      for (std::uint32_t left = e.repeat; left > 0;) {
+        const std::uint64_t word = bi.base_word + w;
+        // Cache lines are a power of two words long (Cache checks).
+        const std::uint64_t line = word >> std::countr_zero(cline);
+        const std::uint32_t run = std::min(
+            {cline - static_cast<std::uint32_t>(word & (cline - 1)),
+             n_words - w, left});
+        if (line == prev_line) {
+          cache_hits(cache, run, is_write);
+        } else {
+          cache_access(cache, cline, word * 8, is_write, fill_counter);
+          cache_hits(cache, run - 1, is_write);
+        }
+        prev_line = line;
+        left -= run;
+        w += run;
+        if (w == n_words) w = 0;
       }
     }
   }
 
   // Final write-back of dirty resident blocks (end-of-program flush).
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const RegionId rid = block_to_region[i];
+  for (std::size_t i = 0; i < block_count; ++i) {
+    const RegionId rid = info[i].region;
     if (rid != kNoRegion && blocks[i].resident && blocks[i].dirty)
-      dma_transfer(rid, static_cast<BlockId>(i),
-                   program.block(static_cast<BlockId>(i)).size_words(),
-                   false);
+      dma_transfer(rid, static_cast<BlockId>(i), info[i].words, false);
   }
 
   // Wear roll-up.
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
+  for (std::size_t i = 0; i < block_count; ++i) {
     if (blocks[i].wear.empty()) continue;
     const std::uint64_t hottest =
         *std::max_element(blocks[i].wear.begin(), blocks[i].wear.end());
     res.block_max_word_writes[i] = hottest;
-    const RegionId rid = block_to_region[i];
+    const RegionId rid = info[i].region;
     if (rid != kNoRegion)
       res.regions[rid].max_word_writes =
           std::max(res.regions[rid].max_word_writes, hottest);

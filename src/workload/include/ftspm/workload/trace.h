@@ -59,6 +59,22 @@ struct TraceEvent {
   std::uint64_t accesses() const noexcept { return is_marker() ? 0 : repeat; }
 };
 
+/// Visits accesses [first, first + count) of memory-access event `e` on
+/// a block of `n_words` words, count <= n_words, as at most two
+/// stretches of consecutive words: fn(word, k, length) means accesses
+/// k .. k + length - 1 touch words word .. word + length - 1. Lets a
+/// replay walk one lap of a run with no division per word.
+template <typename Fn>
+void for_each_stretch(const TraceEvent& e, std::uint32_t n_words,
+                      std::uint32_t first, std::uint32_t count, Fn&& fn) {
+  if (count == 0) return;
+  const auto word = static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(e.offset) + first) % n_words);
+  const std::uint32_t head = count < n_words - word ? count : n_words - word;
+  fn(word, first, head);
+  if (head < count) fn(std::uint32_t{0}, first + head, count - head);
+}
+
 /// A complete workload: the program plus its deterministic trace.
 struct Workload {
   Program program;

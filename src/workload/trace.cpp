@@ -30,15 +30,16 @@ std::uint64_t Workload::nominal_cycles() const noexcept {
 
 void validate_trace(const Program& program,
                     const std::vector<TraceEvent>& trace) {
+  const std::vector<Block>& blocks = program.blocks();
   std::int64_t call_depth = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const TraceEvent& e = trace[i];
     const auto where = [&] {
       return " (event " + with_commas(static_cast<std::uint64_t>(i)) + ")";
     };
-    FTSPM_CHECK(e.block < program.block_count(),
+    FTSPM_CHECK(e.block < blocks.size(),
                 "trace references unknown block" + where());
-    const Block& b = program.block(e.block);
+    const Block& b = blocks[e.block];
     switch (e.type) {
       case AccessType::Fetch:
         FTSPM_CHECK(b.is_code(), "fetch from non-code block " + b.name + where());
