@@ -53,11 +53,15 @@ int main(int argc, char** argv) {
   };
   for (const Row& row : rows) {
     const CampaignResult static_mc =
-        run_system_campaign(row.layout, row.result.plan, workload.program,
-                            profile, evaluator.strike_model(), cfg);
+        run_system_campaign_parallel(row.layout, row.result.plan,
+                                     workload.program, profile,
+                                     evaluator.strike_model(), cfg, {})
+            .merged;
     const CampaignResult temporal =
-        run_temporal_campaign(row.layout, row.result.plan, workload.program,
-                              profile, evaluator.strike_model(), cfg);
+        run_temporal_campaign_parallel(row.layout, row.result.plan,
+                                       workload.program, profile,
+                                       evaluator.strike_model(), cfg, {})
+            .merged;
     t.add_row({row.result.structure,
                fixed(row.result.avf.vulnerability(), 4),
                fixed(static_mc.vulnerability(), 4),

@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/avf.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/util/format.h"
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
     std::uint32_t check = kind == ProtectionKind::Parity ? 1u : 8u;
     const InjectionRegion region{RegionGeometry(8 * 1024, check), kind, 1.0,
                                  interleave};
-    const CampaignResult r = run_campaign({region}, model, cfg);
+    const CampaignResult r =
+        exec::run_campaign_sharded({region}, model, cfg, {}).merged;
     t.add_row({name, percent(r.fraction(r.dre)), percent(r.fraction(r.due)),
                percent(r.fraction(r.sdc)), percent(r.vulnerability())});
   };

@@ -1,15 +1,12 @@
 // Batch-classification microbenchmarks (google-benchmark): the SoA
-// syndrome-fold kernels behind the batched campaign engine
-// (docs/performance.md, "Batched classification"). Measures each fold
-// backend the host CPU offers — scalar byte-table, SSSE3 and AVX2
-// `pshufb` nibble-table — at several batch sizes, plus the full
-// classify_pattern_batch pipeline against a per-pattern loop, so the
-// per-element win of batching is visible in isolation from the
-// campaign's generation stage.
+// syndrome-fold kernel behind the batched campaign engine
+// (docs/performance.md, "Batched classification") at several batch
+// sizes, plus the full classify_pattern_batch pipeline against a
+// per-pattern loop, so the per-element win of batching is visible in
+// isolation from the campaign's generation stage.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "bench_io.h"
@@ -50,12 +47,7 @@ const PatternArrays& patterns() {
   return arrays;
 }
 
-void fold_with_backend(benchmark::State& state, const char* backend) {
-  if (!SecDedCodec::set_fold_backend(backend)) {
-    state.SkipWithError(
-        (std::string(backend) + " backend unavailable on this CPU").c_str());
-    return;
-  }
+void BM_FoldSyndromes(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const PatternArrays& p = patterns();
   std::vector<std::uint8_t> syndromes(count);
@@ -66,23 +58,8 @@ void fold_with_backend(benchmark::State& state, const char* backend) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(count));
-  SecDedCodec::set_fold_backend("auto");
 }
-
-void BM_FoldSyndromesScalar(benchmark::State& state) {
-  fold_with_backend(state, "scalar");
-}
-BENCHMARK(BM_FoldSyndromesScalar)->Arg(64)->Arg(256)->Arg(4096);
-
-void BM_FoldSyndromesSsse3(benchmark::State& state) {
-  fold_with_backend(state, "ssse3");
-}
-BENCHMARK(BM_FoldSyndromesSsse3)->Arg(64)->Arg(256)->Arg(4096);
-
-void BM_FoldSyndromesAvx2(benchmark::State& state) {
-  fold_with_backend(state, "avx2");
-}
-BENCHMARK(BM_FoldSyndromesAvx2)->Arg(64)->Arg(256)->Arg(4096);
+BENCHMARK(BM_FoldSyndromes)->Arg(64)->Arg(256)->Arg(4096);
 
 // The whole batch pipeline (fold + syndrome-LUT decode) against the
 // same work done one classify_pattern call at a time.

@@ -9,6 +9,7 @@
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/util/rng.h"
+#include "support/campaign_oracles.h"
 
 namespace {
 

@@ -50,7 +50,8 @@ void BM_ShardedCampaign(benchmark::State& state) {
 BENCHMARK(BM_ShardedCampaign)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The serial baseline the jobs=1 row is paying pool overhead against.
+// The bare engine — the whole campaign as one chunk on this thread —
+// that the jobs=1 row is paying runner and pool overhead against.
 void BM_SerialCampaign(benchmark::State& state) {
   const std::vector<InjectionRegion> regions = surfaces();
   const StrikeMultiplicityModel model =
@@ -58,8 +59,9 @@ void BM_SerialCampaign(benchmark::State& state) {
   CampaignConfig cfg;
   cfg.strikes = 200'000;
   for (auto _ : state) {
-    const CampaignResult r = run_campaign(regions, model, cfg);
-    benchmark::DoNotOptimize(r.sdc);
+    CampaignShardState shard = begin_campaign_shard(cfg.seed);
+    run_campaign_chunk(regions, model, cfg, shard, cfg.strikes);
+    benchmark::DoNotOptimize(shard.partial.sdc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.strikes));

@@ -18,6 +18,7 @@
 #include "bench_io.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/mem/technology_library.h"
+#include "support/campaign_oracles.h"
 
 namespace {
 
@@ -81,7 +82,7 @@ void run_recovery(benchmark::State& state, const RecoveryCase& c,
     if (batched)
       c.campaign.run_chunk(cfg, core, side, kStrikes);
     else
-      c.campaign.run_chunk_reference(cfg, core, side, kStrikes);
+      CampaignOracles::recovery_chunk(c.campaign, cfg, core, side, kStrikes);
     benchmark::DoNotOptimize(core.partial.masked);
     benchmark::DoNotOptimize(side.counters.demand_reads);
   }

@@ -32,6 +32,7 @@
 #include "ftspm/util/format.h"
 #include "ftspm/util/json.h"
 #include "ftspm/workload/case_study.h"
+#include "support/campaign_oracles.h"
 
 namespace {
 
@@ -97,8 +98,11 @@ BenchCampaignTiming time_static(std::uint64_t strikes, int reps) {
   CampaignConfig cfg;
   cfg.strikes = strikes;
   CampaignResult last;
-  const Timing t =
-      time_median([&] { last = run_campaign(regions, model, cfg); }, reps);
+  const Timing t = time_median(
+      [&] {
+        last = exec::run_campaign_sharded(regions, model, cfg, {}).merged;
+      },
+      reps);
   FTSPM_CHECK(last.strikes == strikes, "static campaign ran short");
   return BenchCampaignTiming{"static", strikes, t};
 }
@@ -122,7 +126,11 @@ BenchCampaignTiming time_recovery(const char* name, std::uint64_t strikes,
   cfg.strikes = strikes;
   RecoveryResult last;
   const Timing t = time_median(
-      [&] { last = run_recovery_campaign({region}, model, cfg, policy); },
+      [&] {
+        last = exec::run_recovery_campaign_sharded({region}, model, cfg,
+                                                   policy, {})
+                   .merged;
+      },
       reps);
   FTSPM_CHECK(last.strikes.strikes == strikes, "recovery campaign ran short");
   return BenchCampaignTiming{name, strikes, t};
@@ -138,9 +146,11 @@ BenchCampaignTiming time_temporal(std::uint64_t strikes, int reps) {
   CampaignResult last;
   const Timing t = time_median(
       [&] {
-        last = run_temporal_campaign(evaluator.ftspm_layout(), sys.plan,
-                                     w.program, prof, evaluator.strike_model(),
-                                     cfg);
+        last = run_temporal_campaign_parallel(evaluator.ftspm_layout(),
+                                              sys.plan, w.program, prof,
+                                              evaluator.strike_model(), cfg,
+                                              {})
+                   .merged;
       },
       reps);
   FTSPM_CHECK(last.strikes == strikes, "temporal campaign ran short");

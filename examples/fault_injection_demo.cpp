@@ -46,7 +46,8 @@ int main() {
                                 ProtectionKind::SecDed, 1.0, 1};
   CampaignConfig cfg;
   cfg.strikes = 100'000;
-  const CampaignResult flat = run_campaign({surface}, model, cfg);
+  const CampaignResult flat =
+      exec::run_campaign_sharded({surface}, model, cfg, {}).merged;
   std::cout << "  corrected " << percent(flat.fraction(flat.dre))
             << ", DUE " << percent(flat.fraction(flat.due)) << ", SDC "
             << percent(flat.fraction(flat.sdc))
@@ -61,9 +62,11 @@ int main() {
   const SystemResult ftspm = evaluator.evaluate_ftspm(workload, profile);
   const SystemResult sram =
       evaluator.evaluate_pure_sram(workload, profile);
-  const CampaignResult temporal = run_temporal_campaign(
-      evaluator.ftspm_layout(), ftspm.plan, workload.program, profile,
-      evaluator.strike_model(), cfg);
+  const CampaignResult temporal =
+      run_temporal_campaign_parallel(evaluator.ftspm_layout(), ftspm.plan,
+                                     workload.program, profile,
+                                     evaluator.strike_model(), cfg, {})
+          .merged;
   std::cout << "  analytic vulnerability (Eqs. 1-7):  "
             << percent(ftspm.avf.vulnerability()) << "\n"
             << "  temporal Monte-Carlo:               "

@@ -31,18 +31,10 @@ std::vector<InjectionRegion> make_injection_regions(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile);
 
-/// Convenience wrapper: builds the surfaces and runs the campaign.
-CampaignResult run_system_campaign(const SpmLayout& layout,
-                                   const MappingPlan& plan,
-                                   const Program& program,
-                                   const ProgramProfile& profile,
-                                   const StrikeMultiplicityModel& strikes,
-                                   const CampaignConfig& config = {});
-
-/// Sharded/parallel run_system_campaign (see ftspm/exec): for a fixed
-/// (seed, strikes, shard count) the merged counters are bit-identical
-/// across any jobs value, and exec.shards == 1 matches the serial
-/// function exactly.
+/// Builds the surfaces and runs the static campaign through the
+/// sharded runner (see ftspm/exec): for a fixed (seed, strikes, shard
+/// count) the merged counters are bit-identical across any jobs value.
+/// ExecConfig{} is the serial run: one job, one shard.
 exec::ShardedRun run_system_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
@@ -65,16 +57,10 @@ std::vector<RecoveryRegion> make_recovery_regions(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile);
 
-/// Convenience wrapper: builds the recovery surfaces and runs the
-/// live-array campaign serially (see fault/recovery.h for semantics).
-RecoveryResult run_recovery_system_campaign(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const RecoveryPolicy& policy);
-
-/// Sharded/parallel run_recovery_system_campaign; same determinism
-/// contract as run_system_campaign_parallel (jobs-invariant, shards
-/// merged in index order).
+/// Builds the recovery surfaces and runs the live-array campaign (see
+/// fault/recovery.h for semantics) through the sharded runner; same
+/// determinism contract as run_system_campaign_parallel (jobs-invariant,
+/// shards merged in index order).
 exec::RecoveryShardedRun run_recovery_system_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
@@ -89,8 +75,9 @@ exec::RecoveryShardedRun run_recovery_system_campaign_parallel(
 /// distinct states are race-free.
 class TemporalCampaign {
  public:
-  /// Historical seed salt of the serial temporal campaign; applied to
-  /// every shard seed so shard_count == 1 reproduces it exactly.
+  /// Seed salt of the temporal campaign kind, applied to every shard
+  /// seed so temporal campaigns never share a strike sequence with
+  /// static ones.
   static constexpr std::uint64_t kSeedSalt = 0x7e3a11ce;
 
   TemporalCampaign(const SpmLayout& layout, const MappingPlan& plan,
@@ -100,25 +87,16 @@ class TemporalCampaign {
   TemporalCampaign& operator=(const TemporalCampaign&) = delete;
 
   /// Advances `state` by up to `max_strikes` temporal strikes,
-  /// stopping at config.strikes. RNG consumption matches the serial
-  /// loop draw for draw, so any chunking schedule yields identical
-  /// counters. The observer (nullable) sees absolute strike indices;
+  /// stopping at config.strikes. RNG consumption matches the
+  /// strike-at-a-time reference loop (tests/support/campaign_oracles.h)
+  /// draw for draw, so any chunking schedule yields identical
+  /// counters. The observer (nullable) sees every strike's outcome;
   /// `grid` (nullable, see fault/sensitivity.h) records each strike's
   /// origin and final outcome without affecting results.
   void run_chunk(const CampaignConfig& config, CampaignShardState& state,
                  std::uint64_t max_strikes,
                  CampaignObserver* observer = nullptr,
                  SensitivityGrid* grid = nullptr) const;
-
-  /// The original strike-at-a-time loop, kept verbatim as the oracle
-  /// run_chunk (the batched engine, system_campaign_batch.cpp) is
-  /// pinned against: same draws, counters, observer calls, and grid
-  /// records for every chunk schedule.
-  void run_chunk_reference(const CampaignConfig& config,
-                           CampaignShardState& state,
-                           std::uint64_t max_strikes,
-                           CampaignObserver* observer = nullptr,
-                           SensitivityGrid* grid = nullptr) const;
 
   /// The injection surfaces (one per SPM region, in region order) the
   /// campaign strikes — what make_sensitivity_grid buckets over.
@@ -127,6 +105,9 @@ class TemporalCampaign {
   }
 
  private:
+  /// The test-support reference engine reads the private state.
+  friend struct CampaignOracles;
+
   const Program& program_;
   const ProgramProfile& profile_;
   const StrikeMultiplicityModel& strikes_;
@@ -147,17 +128,8 @@ class TemporalCampaign {
 /// masked. This is the highest-fidelity reliability path in the
 /// repository; the static campaign and the analytic Eqs. 1-7 are its
 /// successively coarser approximations, and tests assert the three
-/// agree in that order.
-CampaignResult run_temporal_campaign(const SpmLayout& layout,
-                                     const MappingPlan& plan,
-                                     const Program& program,
-                                     const ProgramProfile& profile,
-                                     const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config = {},
-                                     SensitivityGrid* grid = nullptr);
-
-/// Sharded/parallel run_temporal_campaign; same determinism contract
-/// as run_system_campaign_parallel.
+/// agree in that order. Runs through the sharded runner; same
+/// determinism contract as run_system_campaign_parallel.
 exec::ShardedRun run_temporal_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,

@@ -43,17 +43,6 @@ std::vector<InjectionRegion> make_injection_regions(
   return regions;
 }
 
-CampaignResult run_system_campaign(const SpmLayout& layout,
-                                   const MappingPlan& plan,
-                                   const Program& program,
-                                   const ProgramProfile& profile,
-                                   const StrikeMultiplicityModel& strikes,
-                                   const CampaignConfig& config) {
-  return run_campaign(
-      make_injection_regions(layout, plan, program, profile), strikes,
-      config);
-}
-
 exec::ShardedRun run_system_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
@@ -116,15 +105,6 @@ std::vector<RecoveryRegion> make_recovery_regions(
   return regions;
 }
 
-RecoveryResult run_recovery_system_campaign(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const RecoveryPolicy& policy) {
-  return run_recovery_campaign(
-      make_recovery_regions(layout, plan, program, profile), strikes, config,
-      policy);
-}
-
 exec::RecoveryShardedRun run_recovery_system_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
@@ -168,75 +148,6 @@ TemporalCampaign::TemporalCampaign(const SpmLayout& layout,
   }
 }
 
-void TemporalCampaign::run_chunk_reference(const CampaignConfig& config,
-                                           CampaignShardState& state,
-                                           std::uint64_t max_strikes,
-                                           CampaignObserver* observer,
-                                           SensitivityGrid* grid) const {
-  const std::uint64_t end =
-      std::min(config.strikes, state.done + max_strikes);
-  for (std::uint64_t s = state.done; s < end; ++s) {
-    const std::size_t rid = state.rng.next_discrete(weights_);
-    const InjectionRegion& surface = surfaces_[rid];
-    const std::uint64_t origin =
-        state.rng.next_below(surface.geometry.physical_bits());
-    const std::uint64_t word =
-        origin / surface.geometry.codeword_bits();
-    const std::uint64_t when = state.rng.next_below(horizon_);
-
-    // Who holds this word right now?
-    const ResidencySpan* occupant = nullptr;
-    for (const ResidencySpan* span : region_spans_[rid]) {
-      if (span->map_index > when) continue;
-      if (span->unmap_index && *span->unmap_index <= when) continue;
-      if (word < span->base_word ||
-          word >= span->base_word + program_.block(span->block).size_words())
-        continue;
-      occupant = span;
-      break;
-    }
-
-    StrikeOutcome outcome = StrikeOutcome::Masked;
-    if (occupant != nullptr) {
-      const std::uint32_t flips =
-          strikes_.sample_flips(state.rng, config.max_flips);
-      outcome =
-          classify_strike(surface, origin, flips, state.rng, state.scratch);
-      if (outcome != StrikeOutcome::Masked &&
-          !state.rng.next_bool(
-              profile_.ace_fraction(program_, occupant->block)))
-        outcome = StrikeOutcome::Masked;
-    }
-    switch (outcome) {
-      case StrikeOutcome::Masked: ++state.partial.masked; break;
-      case StrikeOutcome::Dre: ++state.partial.dre; break;
-      case StrikeOutcome::Due: ++state.partial.due; break;
-      case StrikeOutcome::Sdc: ++state.partial.sdc; break;
-    }
-    ++state.partial.strikes;
-    if (observer != nullptr) observer->on_strike(s, outcome);
-    if (grid != nullptr) grid->record(rid, origin, outcome);
-  }
-  state.done = end;
-}
-
-CampaignResult run_temporal_campaign(const SpmLayout& layout,
-                                     const MappingPlan& plan,
-                                     const Program& program,
-                                     const ProgramProfile& profile,
-                                     const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config,
-                                     SensitivityGrid* grid) {
-  const TemporalCampaign campaign(layout, plan, program, profile, strikes);
-  CampaignShardState state =
-      begin_campaign_shard(config.seed ^ TemporalCampaign::kSeedSalt);
-  emit_campaign_phase_start("temporal", config);
-  CampaignObserver observer(config, "temporal");
-  campaign.run_chunk(config, state, config.strikes, &observer, grid);
-  emit_campaign_phase_end("temporal", state.partial);
-  return state.partial;
-}
-
 exec::ShardedRun run_temporal_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
@@ -257,7 +168,7 @@ exec::ShardedRun run_temporal_campaign_parallel(
           std::uint64_t max_strikes) {
         // Tallies into the worker's per-shard delta registry; the
         // runner merges the deltas post-join in shard order.
-        CampaignObserver observer(shard.config, "temporal");
+        CampaignObserver observer;
         campaign.run_chunk(shard.config, state, max_strikes,
                            obs::enabled() ? &observer : nullptr,
                            grids.empty() ? nullptr : &grids[shard.index]);

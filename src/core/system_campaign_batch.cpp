@@ -1,7 +1,7 @@
 // Batched hot loop of the temporal (residency-resolved) campaign.
 //
-// run_chunk_reference (system_campaign.cpp) resolves each strike with
-// FP draws (next_discrete's subtract-scan, next_bool conversions), a
+// The strike-at-a-time reference loop (tests/support/campaign_oracles)
+// resolves each strike with FP draws (next_discrete's subtract-scan, next_bool conversions), a
 // hardware divide for the struck word, and a per-word classify. This
 // file replays the identical campaign on the batch engine
 // (fault/batch_engine.h), exactly as the static and recovery campaigns
@@ -20,7 +20,7 @@
 //    classify_pattern call per word.
 //
 // Equivalence contract: counters, grids, observer calls, and the RNG
-// stream match run_chunk_reference bit for bit for every chunk
+// stream match the reference loop bit for bit for every chunk
 // schedule and block width. The draw schedule per strike is region,
 // origin, instant, then — only when a mapped block occupies the struck
 // word at that instant — multiplicity, one burned draw per struck
@@ -188,7 +188,7 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
       ++tallies[o];
       if (want_slots) {
         const auto outcome = static_cast<StrikeOutcome>(o);
-        if (observer != nullptr) observer->on_strike(base + slot, outcome);
+        if (observer != nullptr) observer->on_strike(outcome);
         if (grid != nullptr)
           grid->record(batch.region_of[slot], batch.origin[slot], outcome);
       }

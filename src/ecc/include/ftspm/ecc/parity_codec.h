@@ -42,9 +42,7 @@ class ParityCodec {
   /// Raw parity syndromes over arrays: out[i] ==
   /// parity64(data_masks[i]) ^ (parity_masks[i] & 1), always 0 or 1.
   /// The batched campaign engines consume this directly (a parity
-  /// word's whole verdict is its syndrome bit); SSSE3/AVX2 kernels ride
-  /// the same runtime dispatch as SecDedCodec::fold_syndromes — one
-  /// set_fold_backend() call pins both (parity_batch.cpp).
+  /// word's whole verdict is its syndrome bit).
   static void fold_parity(const std::uint64_t* data_masks,
                           const std::uint8_t* parity_masks,
                           std::size_t count, std::uint8_t* out) noexcept;

@@ -2,129 +2,24 @@
 //
 // A parity word's whole verdict is one bit — the XOR-reduce of its
 // 64-bit error mask folded with the flipped-parity bit — so the batch
-// kernel is a pure map: out[i] = parity64(data[i]) ^ (parity[i] & 1).
-// The scalar loop compiles to a popcount (or, on baseline x86-64
-// without POPCNT, a ~12-op bit fold) per element; the SIMD kernels do
-// four (AVX2) or two (SSSE3) words per step:
-//
-//  * split every byte into nibbles, look both up in a 16-entry
-//    `pshufb` parity table (the 0x6996 nibble-parity pattern), XOR the
-//    halves — per-byte parity in each byte lane;
-//  * `psadbw` against zero horizontally sums the eight byte parities
-//    of each 64-bit lane; the sum's low bit IS the lane parity;
-//  * shift that bit to the sign position and `movmskpd` the lanes out
-//    as a compact integer mask, combined with the parity-bit masks in
-//    scalar code (two byte ops per element).
-//
-// Backend selection is shared with SecDedCodec::fold_syndromes via
-// fold_backend.h: SecDedCodec::set_fold_backend("scalar"/"ssse3"/
-// "avx2"/"auto") pins this kernel too, so the CI scalar-fold leg and
-// the golden backend loops cover one dispatch decision, not two.
-// Every path is bit-identical by construction and pinned against
-// classify_pattern by tests/ecc/pattern_equivalence_test.cpp.
+// kernel is a pure map: out[i] = parity64(data[i]) ^ (parity[i] & 1),
+// one popcount (or, on baseline x86-64 without POPCNT, a ~12-op bit
+// fold) per element. Pinned against classify_pattern by
+// tests/ecc/pattern_equivalence_test.cpp.
 #include <cstddef>
 #include <cstdint>
 
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/util/bitops.h"
-#include "fold_backend.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define FTSPM_X86 1
-#include <immintrin.h>
-#else
-#define FTSPM_X86 0
-#endif
 
 namespace ftspm {
-
-namespace {
-
-void parity_scalar(const std::uint64_t* data, const std::uint8_t* parity,
-                   std::size_t count, std::uint8_t* out) noexcept {
-  for (std::size_t i = 0; i < count; ++i)
-    out[i] = static_cast<std::uint8_t>(parity64(data[i]) ^ (parity[i] & 1));
-}
-
-#if FTSPM_X86
-
-// parity(n) for each nibble n: the 0x6996... pattern.
-#define FTSPM_NIBBLE_PARITY \
-  0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0
-
-__attribute__((target("ssse3"))) void parity_ssse3(
-    const std::uint64_t* data, const std::uint8_t* parity, std::size_t count,
-    std::uint8_t* out) noexcept {
-  const __m128i ptab = _mm_setr_epi8(FTSPM_NIBBLE_PARITY);
-  const __m128i nib = _mm_set1_epi8(0x0f);
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const __m128i lo = _mm_and_si128(v, nib);
-    const __m128i hi = _mm_and_si128(_mm_srli_epi16(v, 4), nib);
-    const __m128i p = _mm_xor_si128(_mm_shuffle_epi8(ptab, lo),
-                                    _mm_shuffle_epi8(ptab, hi));
-    const __m128i sum = _mm_sad_epu8(p, zero);
-    const int m = _mm_movemask_pd(_mm_castsi128_pd(_mm_slli_epi64(sum, 63)));
-    out[i] = static_cast<std::uint8_t>((m & 1) ^ (parity[i] & 1));
-    out[i + 1] =
-        static_cast<std::uint8_t>(((m >> 1) & 1) ^ (parity[i + 1] & 1));
-  }
-  if (i < count) parity_scalar(data + i, parity + i, count - i, out + i);
-}
-
-__attribute__((target("avx2"))) void parity_avx2(
-    const std::uint64_t* data, const std::uint8_t* parity, std::size_t count,
-    std::uint8_t* out) noexcept {
-  const __m256i ptab =
-      _mm256_setr_epi8(FTSPM_NIBBLE_PARITY, FTSPM_NIBBLE_PARITY);
-  const __m256i nib = _mm256_set1_epi8(0x0f);
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const __m256i lo = _mm256_and_si256(v, nib);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), nib);
-    const __m256i p = _mm256_xor_si256(_mm256_shuffle_epi8(ptab, lo),
-                                       _mm256_shuffle_epi8(ptab, hi));
-    const __m256i sum = _mm256_sad_epu8(p, zero);
-    const int m =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_slli_epi64(sum, 63)));
-    out[i] = static_cast<std::uint8_t>((m & 1) ^ (parity[i] & 1));
-    out[i + 1] =
-        static_cast<std::uint8_t>(((m >> 1) & 1) ^ (parity[i + 1] & 1));
-    out[i + 2] =
-        static_cast<std::uint8_t>(((m >> 2) & 1) ^ (parity[i + 2] & 1));
-    out[i + 3] =
-        static_cast<std::uint8_t>(((m >> 3) & 1) ^ (parity[i + 3] & 1));
-  }
-  if (i < count) parity_scalar(data + i, parity + i, count - i, out + i);
-}
-
-#undef FTSPM_NIBBLE_PARITY
-
-#endif  // FTSPM_X86
-
-}  // namespace
 
 void ParityCodec::fold_parity(const std::uint64_t* data_masks,
                               const std::uint8_t* parity_masks,
                               std::size_t count, std::uint8_t* out) noexcept {
-#if FTSPM_X86
-  switch (detail::fold_backend_kind()) {
-    case detail::FoldBackendKind::Avx2:
-      parity_avx2(data_masks, parity_masks, count, out);
-      return;
-    case detail::FoldBackendKind::Ssse3:
-      parity_ssse3(data_masks, parity_masks, count, out);
-      return;
-    case detail::FoldBackendKind::Scalar: break;
-  }
-#endif
-  parity_scalar(data_masks, parity_masks, count, out);
+  for (std::size_t i = 0; i < count; ++i)
+    out[i] = static_cast<std::uint8_t>(parity64(data_masks[i]) ^
+                                       (parity_masks[i] & 1));
 }
 
 void ParityCodec::classify_pattern_batch(const std::uint64_t* data_masks,

@@ -11,8 +11,8 @@
 // merged counters are bit-identical across any jobs value, any chunk
 // size, and any suspend/resume schedule — each shard's sequence is a
 // pure function of its derived seed, and the merge is a plain sum in
-// shard order. Only shard_count changes results; shard_count == 1
-// reproduces the serial campaign exactly.
+// shard order. Only shard_count changes results. There is no separate
+// serial engine: ExecConfig{} (one job, one shard) is the serial run.
 #pragma once
 
 #include <atomic>
@@ -31,14 +31,14 @@ namespace ftspm::exec {
 
 class ThreadPool;
 
-/// Opt-in wall-clock liveness stream for long sharded campaigns. A
-/// dedicated emitter thread samples the runner's thread-safe progress
+/// Opt-in wall-clock liveness stream for long sharded campaigns. An
+/// obs::PeriodicWriter thread samples the runner's thread-safe progress
 /// aggregation every `interval_ms` and appends one NDJSON heartbeat
 /// record (per-shard strikes/sec, completed/total chunks, pool
 /// utilization, ETA) to `out_path`. Heartbeats are nondeterministic by
 /// design — they carry wall-clock quantities — so they live in their
 /// own file and never appear in golden-compared artefacts. Workers only
-/// publish relaxed atomic progress stores; the emitter never blocks
+/// publish relaxed atomic progress stores; the writer never blocks
 /// shard completion, and emits at least one record (plus a final one at
 /// shutdown) even for runs shorter than the interval.
 struct HeartbeatConfig {
@@ -148,9 +148,8 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 std::uint64_t seed_salt,
                                 const ShardChunkFn& run_chunk);
 
-/// The static injector campaign (fault/injector.h run_campaign),
-/// sharded. merged counters with exec.shards == 1 match run_campaign
-/// bit for bit.
+/// The static injector campaign (fault/injector.h run_campaign_chunk),
+/// sharded. ExecConfig{} — one job, one shard — is the serial run.
 ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
                                 const StrikeMultiplicityModel& strikes,
                                 const CampaignConfig& config,

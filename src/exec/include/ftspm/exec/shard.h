@@ -6,7 +6,7 @@
 // is a pure function of its own config, the merged counters for a
 // fixed (seed, strikes, shard_count) are bit-identical regardless of
 // worker-thread count or shard completion order — and a one-shard plan
-// keeps the root seed, reproducing today's serial results exactly.
+// keeps the root seed, so the serial run is simply the one-shard plan.
 //
 // Checkpoints serialize each shard's progress (strikes done, partial
 // counters, RNG state words) as one JSON document via ftspm/util/json.

@@ -33,16 +33,16 @@ std::uint32_t default_jobs() noexcept;
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (0 = default_jobs()).
+  /// Spawns `threads` workers (0 = default_jobs()). A one-worker pool
+  /// spawns no thread: it runs every task on the submitting thread, in
+  /// submission order, before submit() returns.
   explicit ThreadPool(std::uint32_t threads = 0);
   /// Drains the queue, then joins every worker.
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::uint32_t size() const noexcept {
-    return static_cast<std::uint32_t>(workers_.size());
-  }
+  std::uint32_t size() const noexcept { return size_; }
 
   /// Enqueues `fn`; the returned future rethrows whatever `fn` threw.
   std::future<void> submit(std::function<void()> fn);
@@ -60,7 +60,11 @@ class ThreadPool {
 
  private:
   void worker_loop(std::uint32_t index);
+  /// Runs `task`, booking its wall time to worker `index`.
+  void run_timed(std::uint32_t index,
+                 std::packaged_task<void()>& task) noexcept;
 
+  std::uint32_t size_;
   std::vector<std::thread> workers_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> busy_ns_;
   std::deque<std::packaged_task<void()>> queue_;

@@ -3,17 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 
 #include "ftspm/exec/thread_pool.h"
 #include "ftspm/fault/campaign_observer.h"
 #include "ftspm/obs/event_log.h"
 #include "ftspm/obs/metrics.h"
+#include "ftspm/obs/periodic_writer.h"
 #include "ftspm/obs/trace_sink.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
@@ -113,67 +112,28 @@ class CheckpointWriter {
   std::vector<std::uint64_t> writes_;
 };
 
-/// The live-telemetry emitter thread (see HeartbeatConfig). Reads the
-/// per-shard progress slots the workers publish with relaxed stores and
-/// appends one NDJSON record per interval; entirely off the hot path —
-/// workers never wait on it, and I/O failures are reported once on
-/// stderr instead of thrown.
-class HeartbeatEmitter {
+/// Builds the live-telemetry records (see HeartbeatConfig) that an
+/// obs::PeriodicWriter appends: reads the per-shard progress slots the
+/// workers publish with relaxed stores, so the workers never wait on
+/// it. Runs on the writer thread only.
+class HeartbeatLine {
  public:
-  HeartbeatEmitter(const HeartbeatConfig& config,
-                   const std::vector<CampaignShard>& plan,
-                   std::uint64_t already_done, std::uint64_t total_strikes,
-                   std::uint64_t chunks_total,
-                   const std::atomic<std::uint64_t>* shard_done,
-                   const std::atomic<std::uint64_t>& chunks_done,
-                   const ThreadPool& pool)
+  HeartbeatLine(const HeartbeatConfig& config,
+                const std::vector<CampaignShard>& plan,
+                std::uint64_t already_done, std::uint64_t total_strikes,
+                std::uint64_t chunks_total,
+                const std::atomic<std::uint64_t>* shard_done,
+                const std::atomic<std::uint64_t>& chunks_done,
+                const ThreadPool& pool)
       : config_(config), plan_(plan), already_done_(already_done),
         total_strikes_(total_strikes), chunks_total_(chunks_total),
         shard_done_(shard_done), chunks_done_(chunks_done), pool_(pool),
         prev_done_(plan.size(), 0), start_(Clock::now()), prev_time_(start_) {
-    out_.open(config.out_path, std::ios::binary | std::ios::app);
-    FTSPM_REQUIRE(out_.good(), "cannot open heartbeat output '" +
-                                   config.out_path + "'");
     for (std::size_t i = 0; i < plan_.size(); ++i)
       prev_done_[i] = shard_done_[i].load(std::memory_order_relaxed);
-    thread_ = std::thread([this] { run(); });
   }
 
-  ~HeartbeatEmitter() { stop(); }
-
-  /// Emits the final beat and joins the emitter. Idempotent; also
-  /// called from the destructor so an exception in the runner still
-  /// shuts the thread down.
-  void stop() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  void run() {
-    const auto interval =
-        std::chrono::milliseconds(std::max<std::uint32_t>(
-            config_.interval_ms, 1));
-    beat(/*final=*/false);  // At least one record, however short the run.
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopped_) {
-      if (cv_.wait_for(lock, interval, [this] { return stopped_; })) break;
-      lock.unlock();
-      beat(/*final=*/false);
-      lock.lock();
-    }
-    lock.unlock();
-    beat(/*final=*/true);
-  }
-
-  void beat(bool final) {
+  std::string operator()(bool final) {
     const Clock::time_point now = Clock::now();
     const double wall_ms =
         std::chrono::duration<double, std::milli>(now - start_).count();
@@ -229,13 +189,6 @@ class HeartbeatEmitter {
         .end_object();
     prev_time_ = now;
 
-    out_ << w.str() << '\n';
-    out_.flush();
-    if (!out_.good() && !write_failed_) {
-      write_failed_ = true;
-      std::fprintf(stderr, "warning: heartbeat write to '%s' failed\n",
-                   config_.out_path.c_str());
-    }
     if (config_.stderr_line) {
       const double pct =
           total_strikes_ != 0
@@ -249,7 +202,11 @@ class HeartbeatEmitter {
                    static_cast<unsigned long long>(total_strikes_), rate,
                    eta_s, utilization * 100.0);
     }
+    return w.str();
   }
+
+ private:
+  using Clock = std::chrono::steady_clock;
 
   const HeartbeatConfig& config_;
   const std::vector<CampaignShard>& plan_;
@@ -262,12 +219,6 @@ class HeartbeatEmitter {
   std::vector<std::uint64_t> prev_done_;
   const Clock::time_point start_;
   Clock::time_point prev_time_;
-  std::ofstream out_;
-  bool write_failed_ = false;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
 };
 
 /// Deterministic post-run observability: per-shard trace lanes and
@@ -277,7 +228,7 @@ class HeartbeatEmitter {
 /// NOT emitted here: the per-strike observers already tallied them into
 /// the per-shard delta registries, which the runner merges into the
 /// root registry in shard order — keeping the merged snapshot
-/// byte-identical to a serial run's.
+/// byte-identical for any --jobs.
 void emit_observability(const std::vector<CampaignShard>& plan,
                         const std::vector<CampaignShardState>& states,
                         const ThreadPool& pool) {
@@ -468,13 +419,18 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
     });
   }
   {
-    // The emitter joins (and writes its final beat) before results are
+    // The writer joins (and writes its final beat) before results are
     // merged, even when a worker throws.
-    std::unique_ptr<HeartbeatEmitter> heartbeat;
-    if (exec.heartbeat.enabled())
-      heartbeat = std::make_unique<HeartbeatEmitter>(
-          exec.heartbeat, plan, already_done, root.strikes, chunks_total,
-          shard_done.get(), chunks_done, pool);
+    std::optional<HeartbeatLine> beat;
+    std::optional<obs::PeriodicWriter> heartbeat;
+    if (exec.heartbeat.enabled()) {
+      beat.emplace(exec.heartbeat, plan, already_done, root.strikes,
+                   chunks_total, shard_done.get(), chunks_done, pool);
+      heartbeat.emplace(exec.heartbeat.out_path, exec.heartbeat.interval_ms,
+                        "heartbeat", [&beat](bool final) {
+                          return (*beat)(final);
+                        });
+    }
     pool.run_all(std::move(tasks));
   }
 
@@ -501,7 +457,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   progress.finish(run.complete);
   if (obs::enabled()) {
     // Shard-order merge of the per-shard counter deltas: the root
-    // registry ends up byte-identical to a serial run's for any --jobs.
+    // registry ends up byte-identical for any --jobs.
     obs::Registry& reg = obs::registry();
     for (const obs::Registry& shard_reg : shard_registries)
       reg.merge_from(shard_reg);
@@ -553,8 +509,7 @@ std::vector<SensitivityGrid> make_shard_grids(std::size_t shard_count,
 }
 
 /// Shard-order merge of the per-shard grids into `merged`, mirroring
-/// the delta-registry merge: counts end up identical to a serial run's
-/// for any --jobs.
+/// the delta-registry merge: counts end up identical for any --jobs.
 void merge_shard_grids(SensitivityGrid& merged,
                        const std::vector<SensitivityGrid>& grids) {
   if (grids.empty()) return;
@@ -578,10 +533,9 @@ ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
       config, exec, "static", /*seed_salt=*/0,
       [&](const CampaignShard& shard, CampaignShardState& state,
           std::uint64_t max_strikes) {
-        // Tallies into the worker's per-shard delta registry (the shard
-        // config has no progress callback — make_shard_plan cleared
-        // it), merged post-join so counters match the serial run's.
-        CampaignObserver observer(shard.config, "static");
+        // Tallies into the worker's per-shard delta registry, merged
+        // post-join in shard order.
+        CampaignObserver observer;
         run_campaign_chunk(regions, strikes, shard.config, state, max_strikes,
                            obs::enabled() ? &observer : nullptr,
                            grids.empty() ? nullptr : &grids[shard.index]);
@@ -655,7 +609,7 @@ RecoveryShardedRun run_recovery_campaign_sharded(
           std::uint64_t max_strikes) {
         RecoveryShardSide& side = sides[shard.index];
         campaign.ensure_shard_images(side, shard.config.seed);
-        CampaignObserver observer(shard.config, "recovery");
+        CampaignObserver observer;
         campaign.run_chunk(shard.config, state, side, max_strikes,
                            obs::enabled() ? &observer : nullptr,
                            grids.empty() ? nullptr : &grids[shard.index]);

@@ -64,7 +64,7 @@ std::vector<CampaignShard> make_shard_plan(const CampaignConfig& root,
     shard.index = i;
     shard.config = root;
     shard.config.strikes = base + (i < extra ? 1 : 0);
-    // One shard reproduces the serial campaign bit for bit; only
+    // One shard keeps the root seed (the serial run's stream); only
     // genuine splits re-derive seeds.
     if (shard_count > 1)
       shard.config.seed = Rng::derive_stream_seed(root.seed, i);

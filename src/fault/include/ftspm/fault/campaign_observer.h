@@ -1,113 +1,48 @@
-// Per-strike observability shared by every Monte-Carlo campaign loop
-// (the static injector campaign and core's temporal campaign): registry
-// tallies, trace instants for vulnerable outcomes on a strike-indexed
-// lane, and the throttled progress callback from CampaignConfig.
+// Per-strike registry tallies shared by every Monte-Carlo campaign loop
+// (the static injector campaign, the live-array recovery campaign and
+// core's temporal campaign).
 //
-// Construct once per campaign, call on_strike() after classifying each
-// strike. All members resolve to no-ops when observability is disabled,
-// and nothing here touches the RNG — attaching an observer can never
-// change campaign results.
+// The sharded runner constructs one per chunk on the worker thread, where
+// registry() is redirected to the shard's delta registry; the coordinator
+// merges the deltas in shard order after the join. Progress reporting and
+// trace lanes belong to the coordinator, never to a worker. All members
+// resolve to no-ops when observability is disabled, and nothing here
+// touches the RNG — attaching an observer can never change campaign
+// results.
 #pragma once
 
-#include <cstdint>
-
 #include "ftspm/fault/injector.h"
-#include "ftspm/obs/event_log.h"
 #include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
 
 namespace ftspm {
 
 class CampaignObserver {
  public:
-  CampaignObserver(const CampaignConfig& config, const char* lane_name)
-      : config_(config) {
+  CampaignObserver() {
     if (obs::enabled()) {
       obs::Registry& reg = obs::registry();
       strikes_ = &reg.counter("campaign.strikes");
       vulnerable_ = &reg.counter("campaign.vulnerable");
-      if ((trace_ = obs::current_trace()) != nullptr)
-        lane_ = trace_->lane("campaign", lane_name);
     }
   }
 
   /// True when on_strike would do anything at all. The batched campaign
-  /// loop checks this once per block and skips the per-strike observer
-  /// sweep entirely for inert observers (observability disabled and no
-  /// progress callback) — on_strike would no-op per strike anyway, so
-  /// skipping it is invisible.
-  bool active() const noexcept {
-    return strikes_ != nullptr ||
-           (config_.progress_interval != 0 &&
-            static_cast<bool>(config_.progress));
-  }
+  /// loops check this once per block and skip the per-strike observer
+  /// sweep entirely for inert observers — on_strike would no-op per
+  /// strike anyway, so skipping it is invisible.
+  bool active() const noexcept { return strikes_ != nullptr; }
 
-  /// Call after classifying strike `s` (0-based). Timestamps in the
-  /// trace are strike indices, keeping the lane deterministic.
-  void on_strike(std::uint64_t s, StrikeOutcome outcome) {
-    if (strikes_ != nullptr) {
-      strikes_->add(1);
-      if (outcome == StrikeOutcome::Due || outcome == StrikeOutcome::Sdc)
-        vulnerable_->add(1);
-      if (trace_ != nullptr) {
-        if (outcome != StrikeOutcome::Masked)
-          trace_->instant(lane_, to_string(outcome), s);
-        if ((s + 1) % kCounterSamplePeriod == 0)
-          trace_->value(lane_, "vulnerable", s,
-                        static_cast<double>(vulnerable_->value()));
-      }
-    }
-    if (config_.progress_interval != 0 && config_.progress) {
-      const bool at_completion = s + 1 == config_.strikes;
-      if (at_completion || (s + 1) % config_.progress_interval == 0) {
-        // The completion call must fire exactly once, including when
-        // `strikes` is an exact multiple of the interval (both branches
-        // true on the last strike) and when a resumed shard replays its
-        // final strike.
-        if (at_completion) {
-          if (completion_fired_) return;
-          completion_fired_ = true;
-        }
-        config_.progress(s + 1, config_.strikes);
-      }
-    }
+  /// Call after classifying each strike.
+  void on_strike(StrikeOutcome outcome) {
+    if (strikes_ == nullptr) return;
+    strikes_->add(1);
+    if (outcome == StrikeOutcome::Due || outcome == StrikeOutcome::Sdc)
+      vulnerable_->add(1);
   }
 
  private:
-  static constexpr std::uint64_t kCounterSamplePeriod = 4096;
-  bool completion_fired_ = false;
-  const CampaignConfig& config_;
   obs::Counter* strikes_ = nullptr;
   obs::Counter* vulnerable_ = nullptr;
-  obs::TraceEventSink* trace_ = nullptr;
-  obs::TraceEventSink::LaneId lane_ = 0;
 };
-
-/// Event-log records bracketing a *serial* campaign, with the same
-/// field shapes as the sharded runner's phase records (shards = 1,
-/// nothing resumed). The sharded runner emits its own richer set —
-/// per-shard start/end and checkpoint records — from the coordinator.
-inline void emit_campaign_phase_start(const char* kind,
-                                      const CampaignConfig& config) {
-  if (obs::EventLog* events = obs::current_event_log())
-    events->emit("phase_start", 0,
-                 {obs::TraceArg::str("kind", kind),
-                  obs::TraceArg::num("shards", std::uint64_t{1}),
-                  obs::TraceArg::num("strikes", config.strikes),
-                  obs::TraceArg::num("resumed_strikes", std::uint64_t{0})});
-}
-
-inline void emit_campaign_phase_end(const char* kind,
-                                    const CampaignResult& result) {
-  if (obs::EventLog* events = obs::current_event_log())
-    events->emit("phase_end", result.strikes,
-                 {obs::TraceArg::str("kind", kind),
-                  obs::TraceArg{"complete", "true"},
-                  obs::TraceArg::num("strikes", result.strikes),
-                  obs::TraceArg::num("masked", result.masked),
-                  obs::TraceArg::num("dre", result.dre),
-                  obs::TraceArg::num("due", result.due),
-                  obs::TraceArg::num("sdc", result.sdc)});
-}
 
 }  // namespace ftspm

@@ -58,8 +58,10 @@ struct CampaignConfig {
   std::uint64_t seed = 0x57a1ce5eed;
   std::uint32_t max_flips = 16;
 
-  /// When non-zero, `progress` is invoked every `progress_interval`
-  /// strikes and once at completion with (strikes_done, strikes_total).
+  /// When non-zero, the sharded runner invokes `progress` with
+  /// (strikes_done, strikes_total) at the first chunk boundary at least
+  /// `progress_interval` strikes past the previous report, and once at
+  /// completion.
   /// Reporting only — it must not touch the RNG, so enabling it cannot
   /// change campaign results.
   std::uint64_t progress_interval = 0;
@@ -84,16 +86,6 @@ struct CampaignResult {
 };
 
 class SensitivityGrid;
-
-/// Runs a campaign of uniformly-aimed strikes over the given surfaces
-/// (weighted by physical bits). Deterministic for a fixed config.
-/// `grid` (nullable) receives every strike's (region, origin bit,
-/// final outcome) — see fault/sensitivity.h; it never affects results.
-CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
-                            const StrikeMultiplicityModel& strikes,
-                            const CampaignConfig& config = {},
-                            SensitivityGrid* grid = nullptr);
-
 class CampaignObserver;
 
 /// Strikes per block of the batched campaign engine: generation,
@@ -239,10 +231,10 @@ CampaignShardState begin_campaign_shard(std::uint64_t seed) noexcept;
 
 /// Advances `state` by up to `max_strikes` strikes of the campaign
 /// described by (regions, strikes, config), stopping early at
-/// config.strikes. Consumes the RNG exactly as `run_campaign` does, so
-/// chunking never changes results: any chunk-size schedule reaching
-/// config.strikes yields the same counters as one serial run. The
-/// observer (nullable) sees absolute strike indices; `grid` (nullable,
+/// config.strikes. The RNG stream is a pure function of the strike
+/// index, so chunking never changes results: any chunk-size schedule
+/// reaching config.strikes yields the same counters as one chunk. The
+/// observer (nullable) sees every strike's outcome; `grid` (nullable,
 /// must be active) accumulates per-(region, bucket) outcome counts off
 /// the hot path.
 void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
@@ -259,7 +251,8 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
 /// Classification runs on the codecs' syndrome kernel
 /// (classify_pattern): parity and SEC-DED are linear, so the outcome
 /// depends only on which bits flipped, never on the stored data. RNG
-/// consumption matches classify_strike_oracle draw for draw — one
+/// consumption matches the encode/flip/decode oracle (tests/support/
+/// campaign_oracles.h) draw for draw — one
 /// next_u64 per struck codeword — so campaign counters at a fixed seed
 /// are bit-identical to the pre-kernel implementation.
 StrikeOutcome classify_strike(const InjectionRegion& region,
@@ -272,15 +265,6 @@ StrikeOutcome classify_strike(const InjectionRegion& region,
 StrikeOutcome classify_strike(const InjectionRegion& region,
                               std::uint64_t first_bit, std::uint32_t flips,
                               Rng& rng, CampaignScratch& scratch);
-
-/// Reference implementation over the full encode/flip/decode oracle
-/// (heap-allocating, data-materializing). Kept as the ground truth the
-/// syndrome kernel is verified against (tests) and the perf baseline
-/// bench/micro_campaign and bench/perf_harness measure the kernel's
-/// speedup over. Identical outcomes and RNG consumption.
-StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
-                                     std::uint64_t first_bit,
-                                     std::uint32_t flips, Rng& rng);
 
 /// Locates physical bit `i` of a region under its interleaving: with
 /// degree IL, consecutive physical bits rotate across IL codewords, so

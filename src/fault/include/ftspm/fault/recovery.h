@@ -36,8 +36,8 @@
 // Determinism: a shard's counters are a pure function of (seed,
 // strikes, regions, policy) and are chunk-size invariant; the sharded
 // runner merges shards in index order, so results never depend on
-// --jobs. With `!policy.active()` the entry points delegate to the
-// static injector verbatim, reproducing its counters bit for bit.
+// --jobs. With `!policy.active()` the sharded entry point delegates to
+// the static injector verbatim, reproducing its counters bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -125,10 +125,10 @@ struct RecoveryResult {
 };
 
 /// Adds the final recovery counters to the process-wide metrics
-/// registry ("recovery.*" names). Called once per campaign by whoever
-/// owns the merged counters — the serial runner and the sharded
-/// coordinator — so serial and sharded runs leave identical registry
-/// entries. No-op when observability is disabled.
+/// registry ("recovery.*" names). Called once per campaign by the
+/// sharded coordinator, after the shard-order merge, so the registry
+/// entries never depend on --jobs. No-op when observability is
+/// disabled.
 void emit_recovery_metrics(const RecoveryCounters& counters);
 
 /// The stored codeword image of one region: per-word data bits, check
@@ -194,7 +194,7 @@ class LiveArrayCampaign {
   /// config.strikes. Aim draws match the static campaign draw for
   /// draw; recovery draws happen strictly within a strike, so any
   /// chunking schedule yields identical counters. The observer
-  /// (nullable) sees absolute strike indices; `grid` (nullable, see
+  /// (nullable) sees every strike's outcome; `grid` (nullable, see
   /// fault/sensitivity.h) records each strike's origin and final
   /// outcome without affecting results.
   ///
@@ -202,29 +202,22 @@ class LiveArrayCampaign {
   /// aim draws over per-chunk region tables, XOR-mask flip scatter,
   /// demand decode and scrub sweeps through the batched ECC entry
   /// points. Counters, images, grids, observer calls, and the RNG
-  /// stream are bit-identical to run_chunk_reference — pinned by
+  /// stream are bit-identical to the strike-at-a-time reference loop
+  /// (tests/support/campaign_oracles.h) — pinned by
   /// tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
                  CampaignObserver* observer = nullptr,
                  SensitivityGrid* grid = nullptr) const;
 
-  /// The strike-at-a-time reference loop run_chunk replaced: one
-  /// next_discrete/next_bool/classify_pattern call per draw, per-bit
-  /// located flips, per-word scrub resolution. Kept as the equivalence
-  /// oracle for tests and bench/micro_recovery; identical behavior by
-  /// contract, ~severalfold slower.
-  void run_chunk_reference(const CampaignConfig& config,
-                           CampaignShardState& core, RecoveryShardSide& side,
-                           std::uint64_t max_strikes,
-                           CampaignObserver* observer = nullptr,
-                           SensitivityGrid* grid = nullptr) const;
-
   const std::vector<RecoveryRegion>& regions() const noexcept {
     return regions_;
   }
 
  private:
+  /// The test-support reference engine reads the private state.
+  friend struct CampaignOracles;
+
   enum class WordRepair : std::uint8_t {
     Clean,          ///< Decoded to the right value, nothing to do.
     Corrected,      ///< SEC-DED fixed it (written back when repairing).
@@ -233,11 +226,6 @@ class LiveArrayCampaign {
     Unrecoverable,  ///< DUE on dirty/stack data; block lost.
     Silent,         ///< Wrong value consumed without detection.
   };
-
-  WordRepair resolve_word(std::size_t region_index, RegionImage& image,
-                          std::uint64_t word, Rng& rng,
-                          RecoveryCounters& counters, bool scrub_pass) const;
-  void scrub_sweep(RecoveryShardSide& side, Rng& rng) const;
 
   /// Per-chunk constants of the batched engine (recovery_batch.cpp):
   /// region tables with integer-domain draw thresholds and precomputed
@@ -257,15 +245,5 @@ class LiveArrayCampaign {
   RecoveryPolicy policy_;
   std::vector<double> weights_;
 };
-
-/// Serial recovery campaign. With `!policy.active()` this is exactly
-/// run_campaign (same seed handling, same counters); otherwise the
-/// live-array loop runs under `config.seed ^ LiveArrayCampaign::
-/// kSeedSalt`.
-RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
-                                     const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config,
-                                     const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid = nullptr);
 
 }  // namespace ftspm

@@ -5,8 +5,6 @@
 
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
-#include "ftspm/fault/campaign_observer.h"
-#include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -36,48 +34,6 @@ PhysicalBit locate_strike_bit(const InjectionRegion& region,
 }
 
 namespace {
-
-/// Classifies the flips that landed in one codeword via the full
-/// encode/flip/decode oracle. Superseded by classify_word_pattern in
-/// the campaign hot loop; kept as the ground truth classify_strike_
-/// oracle exposes to tests and benchmarks.
-StrikeOutcome classify_word_oracle(ProtectionKind protection,
-                                   const std::vector<std::uint32_t>& bits,
-                                   Rng& rng) {
-  const std::uint64_t original = rng.next_u64();
-  switch (protection) {
-    case ProtectionKind::Immune:
-      return StrikeOutcome::Masked;
-    case ProtectionKind::None: {
-      // No check bits: any flip silently corrupts the stored word.
-      return bits.empty() ? StrikeOutcome::Masked : StrikeOutcome::Sdc;
-    }
-    case ProtectionKind::Parity: {
-      ParityWord w = ParityCodec::encode(original);
-      for (std::uint32_t b : bits) ParityCodec::flip_bit(w, b);
-      const DecodeResult r = ParityCodec::decode(w);
-      if (r.status == DecodeStatus::Detected) return StrikeOutcome::Due;
-      return r.data == original ? StrikeOutcome::Masked : StrikeOutcome::Sdc;
-    }
-    case ProtectionKind::SecDed: {
-      SecDedWord w = SecDedCodec::encode(original);
-      for (std::uint32_t b : bits) SecDedCodec::flip_bit(w, b);
-      const DecodeResult r = SecDedCodec::decode(w);
-      switch (r.status) {
-        case DecodeStatus::Clean:
-          return r.data == original ? StrikeOutcome::Masked
-                                    : StrikeOutcome::Sdc;
-        case DecodeStatus::Corrected:
-          return r.data == original ? StrikeOutcome::Dre
-                                    : StrikeOutcome::Sdc;
-        case DecodeStatus::Detected:
-          return StrikeOutcome::Due;
-      }
-      return StrikeOutcome::Sdc;
-    }
-  }
-  throw InvalidArgument("unknown protection kind");
-}
 
 /// Classifies one struck codeword from its error pattern alone (the
 /// codecs are linear, so stored data is irrelevant — see
@@ -209,38 +165,6 @@ StrikeOutcome classify_strike(const InjectionRegion& region,
   return classify_strike(region, first_bit, flips, rng, scratch);
 }
 
-StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
-                                     std::uint64_t first_bit,
-                                     std::uint32_t flips, Rng& rng) {
-  FTSPM_REQUIRE(flips >= 1, "a strike flips at least one bit");
-  if (region.protection == ProtectionKind::Immune)
-    return StrikeOutcome::Masked;
-
-  const std::uint64_t surface = region.geometry.physical_bits();
-  FTSPM_REQUIRE(first_bit < surface, "strike origin outside the region");
-
-  // Gather flips per codeword (clipped at the array edge).
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> hits;
-  for (std::uint32_t k = 0; k < flips && first_bit + k < surface; ++k) {
-    const PhysicalBit pb = locate_strike_bit(region, first_bit + k);
-    if (pb.word_index >= region.geometry.words()) continue;
-    hits.emplace_back(pb.word_index, pb.bit_in_codeword);
-  }
-  std::sort(hits.begin(), hits.end());
-
-  StrikeOutcome worst = StrikeOutcome::Masked;
-  std::size_t i = 0;
-  while (i < hits.size()) {
-    std::vector<std::uint32_t> word_bits;
-    const std::uint64_t word = hits[i].first;
-    for (; i < hits.size() && hits[i].first == word; ++i)
-      word_bits.push_back(hits[i].second);
-    worst = std::max(worst, classify_word_oracle(region.protection, word_bits,
-                                                 rng));
-  }
-  return worst;
-}
-
 CampaignShardState begin_campaign_shard(std::uint64_t seed) noexcept {
   CampaignShardState state;
   state.rng = Rng(seed);
@@ -249,18 +173,5 @@ CampaignShardState begin_campaign_shard(std::uint64_t seed) noexcept {
 
 // run_campaign_chunk — the batched block engine — lives in
 // injector_batch.cpp.
-
-CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
-                            const StrikeMultiplicityModel& strikes,
-                            const CampaignConfig& config,
-                            SensitivityGrid* grid) {
-  CampaignShardState state = begin_campaign_shard(config.seed);
-  emit_campaign_phase_start("static", config);
-  CampaignObserver observer(config, "static");
-  run_campaign_chunk(regions, strikes, config, state, config.strikes,
-                     &observer, grid);
-  emit_campaign_phase_end("static", state.partial);
-  return state.partial;
-}
 
 }  // namespace ftspm

@@ -24,9 +24,9 @@
 //      corrupts or trips a check, and deferred patterns can never fold
 //      clean), so the draw predicate needs no classify result.
 //  stage 2 — batched syndrome fold. One SecDedCodec::fold_syndromes
-//      call resolves every deferred pattern of the block (SIMD where
-//      available), and the 256-entry syndrome LUT merges each word's
-//      outcome back into its strike.
+//      call resolves every deferred pattern of the block, and the
+//      256-entry syndrome LUT merges each word's outcome back into its
+//      strike.
 //  stage 3 — ACE filtering, bulk counter tally, and the observer /
 //      sensitivity-grid sweeps.
 //
@@ -827,8 +827,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
 
     if (observer != nullptr && observer->active()) {
       for (std::uint32_t slot = 0; slot < block; ++slot)
-        observer->on_strike(base + slot,
-                            static_cast<StrikeOutcome>(outcome_of[slot]));
+        observer->on_strike(static_cast<StrikeOutcome>(outcome_of[slot]));
     }
     if (grid != nullptr) {
       for (std::uint32_t slot = 0; slot < block; ++slot)

@@ -1,9 +1,9 @@
 // Batched hot loop of the live-array recovery campaign.
 //
-// run_chunk_reference (recovery.cpp) spends its time in per-strike FP
-// draws (next_discrete's subtract-scan, next_bool conversions), a
-// locate_strike_bit divide per flipped bit, and one classify_pattern
-// call per decoded word. This file replays the identical campaign on
+// The strike-at-a-time reference loop (tests/support/campaign_oracles)
+// spends its time in per-strike FP draws (next_discrete's
+// subtract-scan, next_bool conversions), a locate_strike_bit divide per
+// flipped bit, and one classify_pattern call per decoded word. This file replays the identical campaign on
 // the batch engine (batch_engine.h):
 //
 //  * aim draws become integer compares against per-chunk tables —
@@ -23,7 +23,7 @@
 //    for the batched classify.
 //
 // Equivalence contract: counters, images, grids, observer calls, and
-// the RNG stream match run_chunk_reference bit for bit, for every
+// the RNG stream match the reference loop bit for bit, for every
 // chunk schedule. The draw schedule per strike is pick, origin,
 // multiplicity, then per struck word (ascending) one ACE Bernoulli,
 // then (only inside a detected-uncorrectable repair) one dirty-
@@ -469,18 +469,9 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
           if (syndromes_ready) return;
           syndromes_ready = true;
           if (R.protection == ProtectionKind::SecDed) {
-            // Syndromes are backend-invariant, and below a vector's
-            // width of words the SIMD entry's setup outweighs its
-            // throughput; a demand batch is almost always 1-2 words.
-            if (n >= 8) {
-              SecDedCodec::fold_syndromes(side.batch_data.data(),
-                                          side.batch_check.data(), n,
-                                          side.batch_syndrome.data());
-            } else {
-              SecDedCodec::fold_syndromes_scalar(side.batch_data.data(),
-                                                 side.batch_check.data(), n,
-                                                 side.batch_syndrome.data());
-            }
+            SecDedCodec::fold_syndromes(side.batch_data.data(),
+                                        side.batch_check.data(), n,
+                                        side.batch_syndrome.data());
           } else {
             ParityCodec::fold_parity(side.batch_data.data(),
                                      side.batch_check.data(), n,
@@ -628,21 +619,12 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     }
 
     ++tallies[static_cast<std::size_t>(outcome)];
-    if (observer != nullptr) observer->on_strike(s, outcome);
+    if (observer != nullptr) observer->on_strike(outcome);
     if (grid != nullptr) grid->record(ri, origin, outcome);
 
     if (interval != 0 && --until_scrub == 0) {
       until_scrub = interval;
       scrub_sweep_batched(side, rng, tables);
-      // Scrub cadence is a pure function of the strike index, so this
-      // record is deterministic (see run_chunk_reference).
-      if (obs::EventLog* events = obs::current_event_log())
-        events->emit(
-            "scrub_pass", s + 1,
-            {obs::TraceArg::num("passes", side.counters.scrub_passes),
-             obs::TraceArg::num("scrub_words", side.counters.scrub_words),
-             obs::TraceArg::num("scrub_corrections",
-                                side.counters.scrub_corrections)});
     }
   }
   core.partial.strikes += end - core.done;

@@ -1,12 +1,12 @@
-// The campaign request spec shared by the serve daemon, its client
-// library, and the load injector.
+// The campaign request spec shared by `ftspm_tool campaign`, the serve
+// daemon, its client library, and the load injector.
 //
-// A CampaignSpec mirrors `ftspm_tool campaign`'s flags field for field,
-// so a request submitted over the wire describes exactly the same run a
-// one-shot invocation would perform. run_campaign_spec() executes it
-// through the same engine (`exec::run_recovery_campaign_sharded`) and
-// campaign_spec_record() builds the same ledger record — which is what
-// makes the served-vs-one-shot determinism contract checkable: same
+// A CampaignSpec is the one description of a campaign run: the CLI
+// parses its flags into one, the daemon decodes one from the wire, and
+// both execute it through run_campaign_spec() — the one sharded engine
+// (`exec::run_recovery_campaign_sharded`) — and build the ledger record
+// through campaign_spec_record(). That is what makes the
+// served-vs-one-shot determinism contract hold by construction: same
 // spec + same seed => bit-identical counters and an equivalent record,
 // whether the run came through a socket or argv.
 #pragma once
@@ -16,16 +16,22 @@
 #include <functional>
 #include <string>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
+#include "ftspm/fault/sensitivity.h"
 #include "ftspm/obs/ledger.h"
 #include "ftspm/util/json.h"
 
-namespace ftspm::exec {
-class ThreadPool;
-}
-
 namespace ftspm::serve {
+
+/// Upper bounds of the integer spec fields, enforced by the wire
+/// decoder and by the CLI's flag parser alike.
+inline constexpr std::uint64_t kMaxSpecCount = std::uint64_t{1} << 53;
+inline constexpr std::uint64_t kMaxSpecSize = std::uint64_t{1} << 40;
+inline constexpr std::uint64_t kMaxSpecInterleave = 1u << 16;
+inline constexpr std::uint64_t kMaxSpecShards = 4096;
+inline constexpr std::uint64_t kMaxSpecRefetchWords = std::uint64_t{1} << 32;
 
 /// One campaign request. Field names and defaults match the
 /// `ftspm_tool campaign` flags (plus an explicit seed, which the CLI
@@ -61,9 +67,11 @@ CampaignSpec spec_from_json(const JsonValue& value);
 /// spec_from_json).
 std::string spec_to_json(const CampaignSpec& spec);
 
-/// Execution context the daemon threads onto a spec run: the shared
-/// pool, the per-request cancel flag, and the heartbeat sink. All
-/// optional — the defaults run the spec standalone, like the CLI.
+/// Execution context threaded onto a spec run: the daemon's shared
+/// pool, per-request cancel flag and heartbeat sink, and the CLI's
+/// file-backed settings. None of it reaches the counters, and none of
+/// it travels on the wire. All optional — the defaults run the spec
+/// standalone on one job.
 struct CampaignRunHooks {
   exec::ThreadPool* pool = nullptr;
   const std::atomic<bool>* cancel = nullptr;
@@ -80,6 +88,16 @@ struct CampaignRunHooks {
   std::function<void(std::uint32_t shard, std::uint64_t start_ns,
                      std::uint64_t end_ns)>
       shard_span;
+  /// Checkpoint/resume files and the per-shard strikes between
+  /// checkpoint writes (exec::ExecConfig semantics; static campaigns
+  /// only — a recovery spec rejects them).
+  std::string checkpoint_path;
+  std::string resume_path;
+  std::uint64_t checkpoint_interval = exec::ExecConfig{}.checkpoint_interval;
+  /// The wall-clock NDJSON heartbeat file (off unless out_path is set).
+  exec::HeartbeatConfig heartbeat;
+  /// Address buckets per region of the sensitivity grid; 0 = no grid.
+  std::uint32_t sensitivity_buckets = 0;
 };
 
 /// What one spec run produced.
@@ -94,6 +112,9 @@ struct CampaignOutcome {
   std::uint32_t used_shards = 1;
   double wall_ms = 0.0;
   double strikes_per_sec = 0.0;
+  /// The shard-order merged sensitivity grid; inactive unless
+  /// CampaignRunHooks::sensitivity_buckets was set.
+  SensitivityGrid sensitivity;
 };
 
 /// Runs the spec. Counters depend only on (seed, strikes, shards,
@@ -101,8 +122,7 @@ struct CampaignOutcome {
 CampaignOutcome run_campaign_spec(const CampaignSpec& spec,
                                   const CampaignRunHooks& hooks = {});
 
-/// The outcome as a ledger record (id left empty for the appender),
-/// built by the same report helper the CLI uses.
+/// The outcome as a ledger record (id left empty for the appender).
 obs::LedgerRecord campaign_spec_record(const CampaignSpec& spec,
                                        const CampaignOutcome& outcome);
 

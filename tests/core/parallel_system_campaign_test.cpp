@@ -41,9 +41,15 @@ TEST(ParallelSystemCampaignTest, OneShardMatchesSerial) {
   const Fixture& f = fixture();
   CampaignConfig cfg;
   cfg.strikes = 20'000;
-  const CampaignResult serial = run_system_campaign(
-      f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+  // The serial campaign: the engine over the whole run in one chunk on
+  // this thread — no runner, no pool.
+  const StrikeMultiplicityModel strikes = f.evaluator.strike_model();
+  CampaignShardState state = begin_campaign_shard(cfg.seed);
+  run_campaign_chunk(make_injection_regions(f.evaluator.ftspm_layout(),
+                                            f.ftspm.plan, f.workload.program,
+                                            f.profile),
+                     strikes, cfg, state, cfg.strikes);
+  const CampaignResult serial = state.partial;
   exec::ExecConfig exec;
   exec.jobs = 2;
   exec.shards = 1;
@@ -76,9 +82,14 @@ TEST(ParallelTemporalCampaignTest, OneShardMatchesSerial) {
   const Fixture& f = fixture();
   CampaignConfig cfg;
   cfg.strikes = 15'000;
-  const CampaignResult serial = run_temporal_campaign(
-      f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+  // The serial campaign: the engine over the whole run in one chunk.
+  const StrikeMultiplicityModel strikes = f.evaluator.strike_model();
+  const TemporalCampaign campaign(f.evaluator.ftspm_layout(), f.ftspm.plan,
+                                  f.workload.program, f.profile, strikes);
+  CampaignShardState state =
+      begin_campaign_shard(cfg.seed ^ TemporalCampaign::kSeedSalt);
+  campaign.run_chunk(cfg, state, cfg.strikes);
+  const CampaignResult serial = state.partial;
   exec::ExecConfig exec;
   exec.jobs = 2;
   exec.shards = 1;
@@ -136,14 +147,15 @@ TEST(ParallelTemporalCampaignTest, SensitivityGridIsJobsInvariant) {
   CampaignConfig cfg;
   cfg.strikes = 15'000;
 
-  // Serial reference grid over the campaign's own surfaces.
-  TemporalCampaign campaign(f.evaluator.ftspm_layout(), f.ftspm.plan,
-                            f.workload.program, f.profile,
-                            f.evaluator.strike_model());
+  // Serial reference grid over the campaign's own surfaces: the engine
+  // over the whole run in one chunk.
+  const StrikeMultiplicityModel strikes = f.evaluator.strike_model();
+  const TemporalCampaign campaign(f.evaluator.ftspm_layout(), f.ftspm.plan,
+                                  f.workload.program, f.profile, strikes);
   SensitivityGrid serial = make_sensitivity_grid(campaign.surfaces(), 24);
-  run_temporal_campaign(f.evaluator.ftspm_layout(), f.ftspm.plan,
-                        f.workload.program, f.profile,
-                        f.evaluator.strike_model(), cfg, &serial);
+  CampaignShardState state =
+      begin_campaign_shard(cfg.seed ^ TemporalCampaign::kSeedSalt);
+  campaign.run_chunk(cfg, state, cfg.strikes, nullptr, &serial);
 
   std::string first;
   for (std::uint32_t jobs : {1u, 4u}) {

@@ -63,10 +63,11 @@ TEST(SystemCampaignTest, TimeSharedRegionOccupancyIsCapped) {
 TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForFtspm) {
   CampaignConfig cfg;
   cfg.strikes = 400'000;
-  const CampaignResult mc = run_system_campaign(
+  const CampaignResult mc = run_system_campaign_parallel(
       fixture().evaluator.ftspm_layout(), fixture().ftspm.plan,
       fixture().workload.program, fixture().profile,
-      fixture().evaluator.strike_model(), cfg);
+      fixture().evaluator.strike_model(), cfg, {})
+                                .merged;
   const double analytic = fixture().ftspm.avf.vulnerability();
   // MC sits at or slightly below the analytic value (codeword-straddle
   // effects); both must be the same order of magnitude.
@@ -77,10 +78,11 @@ TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForFtspm) {
 TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForBaseline) {
   CampaignConfig cfg;
   cfg.strikes = 400'000;
-  const CampaignResult mc = run_system_campaign(
+  const CampaignResult mc = run_system_campaign_parallel(
       fixture().evaluator.pure_sram_layout(), fixture().sram.plan,
       fixture().workload.program, fixture().profile,
-      fixture().evaluator.strike_model(), cfg);
+      fixture().evaluator.strike_model(), cfg, {})
+                                .merged;
   const double analytic = fixture().sram.avf.vulnerability();
   EXPECT_LE(mc.vulnerability(), analytic * 1.10 + 0.002);
   EXPECT_GE(mc.vulnerability(), analytic * 0.75);
@@ -89,14 +91,16 @@ TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForBaseline) {
 TEST(SystemCampaignTest, McPreservesTheStructureOrdering) {
   CampaignConfig cfg;
   cfg.strikes = 200'000;
-  const CampaignResult ft = run_system_campaign(
+  const CampaignResult ft = run_system_campaign_parallel(
       fixture().evaluator.ftspm_layout(), fixture().ftspm.plan,
       fixture().workload.program, fixture().profile,
-      fixture().evaluator.strike_model(), cfg);
-  const CampaignResult sram = run_system_campaign(
+      fixture().evaluator.strike_model(), cfg, {})
+                                .merged;
+  const CampaignResult sram = run_system_campaign_parallel(
       fixture().evaluator.pure_sram_layout(), fixture().sram.plan,
       fixture().workload.program, fixture().profile,
-      fixture().evaluator.strike_model(), cfg);
+      fixture().evaluator.strike_model(), cfg, {})
+                                .merged;
   EXPECT_LT(ft.vulnerability(), 0.5 * sram.vulnerability());
 }
 
@@ -118,12 +122,14 @@ TEST(TemporalCampaignTest, RunsAndStaysBelowTheStaticModel) {
   const Fixture& f = fixture();
   CampaignConfig cfg;
   cfg.strikes = 150'000;
-  const CampaignResult temporal = run_temporal_campaign(
+  const CampaignResult temporal = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
-  const CampaignResult fixed = run_system_campaign(
+      f.profile, f.evaluator.strike_model(), cfg, {})
+                                .merged;
+  const CampaignResult fixed = run_system_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+      f.profile, f.evaluator.strike_model(), cfg, {})
+                                .merged;
   // Fidelity ordering: temporal residency can only mask more strikes
   // than the static occupancy cap (a word is often simply empty).
   EXPECT_LE(temporal.vulnerability(), fixed.vulnerability() * 1.15 + 0.003);
@@ -137,12 +143,14 @@ TEST(TemporalCampaignTest, DeterministicForFixedSeed) {
   const Fixture& f = fixture();
   CampaignConfig cfg;
   cfg.strikes = 30'000;
-  const CampaignResult a = run_temporal_campaign(
+  const CampaignResult a = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
-  const CampaignResult b = run_temporal_campaign(
+      f.profile, f.evaluator.strike_model(), cfg, {})
+                                .merged;
+  const CampaignResult b = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+      f.profile, f.evaluator.strike_model(), cfg, {})
+                                .merged;
   EXPECT_EQ(a.sdc, b.sdc);
   EXPECT_EQ(a.due, b.due);
   EXPECT_EQ(a.masked, b.masked);
@@ -157,9 +165,10 @@ TEST(TemporalCampaignTest, UnmappedPlanMasksEverything) {
   const MappingPlan plan(f.evaluator.ftspm_layout(), std::move(unmapped));
   CampaignConfig cfg;
   cfg.strikes = 20'000;
-  const CampaignResult r = run_temporal_campaign(
+  const CampaignResult r = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), plan, f.workload.program, f.profile,
-      f.evaluator.strike_model(), cfg);
+      f.evaluator.strike_model(), cfg, {})
+                                .merged;
   EXPECT_EQ(r.masked, r.strikes);  // nothing is ever resident
 }
 
@@ -167,12 +176,14 @@ TEST(TemporalCampaignTest, PreservesTheStructureGap) {
   const Fixture& f = fixture();
   CampaignConfig cfg;
   cfg.strikes = 100'000;
-  const CampaignResult ft = run_temporal_campaign(
+  const CampaignResult ft = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
-  const CampaignResult sram = run_temporal_campaign(
+      f.profile, f.evaluator.strike_model(), cfg, {})
+                                .merged;
+  const CampaignResult sram = run_temporal_campaign_parallel(
       f.evaluator.pure_sram_layout(), f.sram.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+      f.profile, f.evaluator.strike_model(), cfg, {})
+                                .merged;
   EXPECT_LT(ft.vulnerability(), 0.6 * sram.vulnerability());
 }
 

@@ -46,6 +46,14 @@ StrikeMultiplicityModel model() {
   return StrikeMultiplicityModel::for_node(40.0);
 }
 
+/// The engine alone: the whole campaign as one chunk on this thread —
+/// no runner, no pool, no shard plan.
+CampaignResult engine_only(const CampaignConfig& cfg) {
+  CampaignShardState state = begin_campaign_shard(cfg.seed);
+  run_campaign_chunk(surfaces(), model(), cfg, state, cfg.strikes);
+  return state.partial;
+}
+
 void expect_same(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.strikes, b.strikes);
   EXPECT_EQ(a.masked, b.masked);
@@ -57,7 +65,7 @@ void expect_same(const CampaignResult& a, const CampaignResult& b) {
 TEST(ParallelCampaignTest, OneShardReproducesTheSerialCampaign) {
   CampaignConfig cfg;
   cfg.strikes = 20'000;
-  const CampaignResult serial = run_campaign(surfaces(), model(), cfg);
+  const CampaignResult serial = engine_only(cfg);
 
   for (std::uint32_t jobs : {1u, 2u}) {
     ExecConfig exec;
@@ -105,10 +113,10 @@ TEST(ParallelCampaignTest, MergedEqualsIndependentPerShardRuns) {
   exec.shards = 3;
   const ShardedRun run = run_campaign_sharded(surfaces(), model(), cfg, exec);
 
-  // Each shard rerun alone through the plain serial entry point.
+  // Each shard rerun alone through the bare engine.
   std::vector<CampaignResult> lone;
   for (const CampaignShard& shard : make_shard_plan(cfg, 3))
-    lone.push_back(run_campaign(surfaces(), model(), shard.config));
+    lone.push_back(engine_only(shard.config));
   ASSERT_EQ(run.shard_results.size(), lone.size());
   for (std::size_t i = 0; i < lone.size(); ++i)
     expect_same(run.shard_results[i], lone[i]);

@@ -70,8 +70,16 @@ void expect_same(const RecoveryResult& a, const RecoveryResult& b) {
 TEST(RecoveryParallelCampaignTest, OneShardReproducesTheSerialCampaign) {
   CampaignConfig cfg;
   cfg.strikes = 12'000;
-  const RecoveryResult serial =
-      run_recovery_campaign(recovery_regions(), model(), cfg, policy());
+  // The serial campaign: the engine driven over the whole run in one
+  // chunk on this thread — no runner, no pool.
+  const StrikeMultiplicityModel strikes = model();
+  const LiveArrayCampaign campaign(recovery_regions(), strikes, policy());
+  CampaignShardState core =
+      begin_campaign_shard(cfg.seed ^ LiveArrayCampaign::kSeedSalt);
+  RecoveryShardSide side;
+  campaign.ensure_shard_images(side, cfg.seed);
+  campaign.run_chunk(cfg, core, side, cfg.strikes);
+  const RecoveryResult serial{core.partial, side.counters};
 
   for (std::uint32_t jobs : {1u, 2u}) {
     ExecConfig exec;

@@ -83,8 +83,12 @@ TEST(SensitivityParallelTest, GridIsByteIdenticalAcrossJobCounts) {
 TEST(SensitivityParallelTest, OneShardGridMatchesSerialRecording) {
   CampaignConfig cfg;
   cfg.strikes = 12'000;
+  // Serial recording: the engine over the whole run in one chunk on
+  // this thread, into one grid.
   SensitivityGrid serial = make_sensitivity_grid(surfaces(), 32);
-  run_campaign(surfaces(), model(), cfg, &serial);
+  CampaignShardState state = begin_campaign_shard(cfg.seed);
+  run_campaign_chunk(surfaces(), model(), cfg, state, cfg.strikes, nullptr,
+                     &serial);
 
   ExecConfig exec;
   exec.jobs = 2;

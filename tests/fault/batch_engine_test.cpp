@@ -22,6 +22,7 @@
 #include "ftspm/mem/technology_library.h"
 #include "ftspm/util/rng.h"
 #include "ftspm/workload/case_study.h"
+#include "support/campaign_oracles.h"
 
 namespace ftspm {
 namespace {
@@ -62,6 +63,16 @@ CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
   return res;
 }
 
+/// The batched engine over the whole campaign in one chunk.
+CampaignResult engine_campaign(const std::vector<InjectionRegion>& regions,
+                               const StrikeMultiplicityModel& model,
+                               const CampaignConfig& cfg,
+                               SensitivityGrid* grid = nullptr) {
+  CampaignShardState state = begin_campaign_shard(cfg.seed);
+  run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr, grid);
+  return state.partial;
+}
+
 void expect_equal(const CampaignResult& got, const CampaignResult& want,
                   const char* what) {
   EXPECT_EQ(got.strikes, want.strikes) << what;
@@ -89,7 +100,7 @@ TEST(BatchEngine, MatchesReferenceOnMixedSurfaces) {
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
     const CampaignConfig cfg = config_for(seed, 50'000);
-    expect_equal(run_campaign(mixed_surfaces(), model, cfg),
+    expect_equal(engine_campaign(mixed_surfaces(), model, cfg),
                  reference_campaign(mixed_surfaces(), model, cfg), "mixed");
   }
 }
@@ -104,7 +115,7 @@ TEST(BatchEngine, MatchesReferenceUnderInterleaving) {
       {RegionGeometry(4096, 8), ProtectionKind::SecDed, 0.6, 4},
       {RegionGeometry(4096, 1), ProtectionKind::Parity, 0.8, 2}};
   const CampaignConfig cfg = config_for(0xabcdef01, 30'000);
-  expect_equal(run_campaign(regions, model, cfg),
+  expect_equal(engine_campaign(regions, model, cfg),
                reference_campaign(regions, model, cfg), "interleaved");
 }
 
@@ -117,7 +128,7 @@ TEST(BatchEngine, MatchesReferenceOnExoticGeometries) {
       {RegionGeometry(1024, 2), ProtectionKind::Parity, 0.9, 1},
       {RegionGeometry(1024, 8), ProtectionKind::SecDed, 0.5, 1}};
   const CampaignConfig cfg = config_for(0x600dcafe, 30'000);
-  expect_equal(run_campaign(regions, model, cfg),
+  expect_equal(engine_campaign(regions, model, cfg),
                reference_campaign(regions, model, cfg), "exotic");
 }
 
@@ -130,7 +141,7 @@ TEST(BatchEngine, MatchesReferenceWithSpillSizedStrikes) {
   const std::vector<InjectionRegion> regions{
       {RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.75, 1},
       {RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.75, 3}};
-  expect_equal(run_campaign(regions, model, cfg),
+  expect_equal(engine_campaign(regions, model, cfg),
                reference_campaign(regions, model, cfg), "spill");
 }
 
@@ -144,7 +155,7 @@ TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
       {RegionGeometry(4096, 8), ProtectionKind::SecDed, 1.0, 1},
       {RegionGeometry(4096, 0), ProtectionKind::None, 0.5, 1}};
   const CampaignConfig cfg = config_for(0x0ace0ace, 30'000);
-  expect_equal(run_campaign(regions, model, cfg),
+  expect_equal(engine_campaign(regions, model, cfg),
                reference_campaign(regions, model, cfg), "ace edges");
 }
 
@@ -191,11 +202,11 @@ TEST(BatchEngine, TightAndObservedPathsAgree) {
   // must re-add to them.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x9e3779b9, 40'000);
-  const CampaignResult tight = run_campaign(mixed_surfaces(), model, cfg);
+  const CampaignResult tight = engine_campaign(mixed_surfaces(), model, cfg);
 
   SensitivityGrid grid = make_sensitivity_grid(mixed_surfaces(), 16);
   const CampaignResult observed =
-      run_campaign(mixed_surfaces(), model, cfg, &grid);
+      engine_campaign(mixed_surfaces(), model, cfg, &grid);
   expect_equal(observed, tight, "tight vs observed");
 
   const CampaignResult totals = grid.totals();
@@ -214,7 +225,7 @@ TEST(BatchEngine, GridCellsMatchReference) {
   SensitivityGrid engine_grid = make_sensitivity_grid(mixed_surfaces(), 16);
   SensitivityGrid reference_grid = make_sensitivity_grid(mixed_surfaces(), 16);
   const CampaignResult engine =
-      run_campaign(mixed_surfaces(), model, cfg, &engine_grid);
+      engine_campaign(mixed_surfaces(), model, cfg, &engine_grid);
   const CampaignResult reference =
       reference_campaign(mixed_surfaces(), model, cfg, &reference_grid);
   expect_equal(engine, reference, "gridded counters");
@@ -223,7 +234,7 @@ TEST(BatchEngine, GridCellsMatchReference) {
 
 // ---------------------------------------------------------------------------
 // Recovery: the batched run_chunk (recovery_batch.cpp) against the
-// strike-at-a-time run_chunk_reference it replaced. The contract is
+// strike-at-a-time reference loop it replaced (CampaignOracles). The contract is
 // stronger than counter equality — the stored images, the recovery
 // counters (cycles and energy bit for bit), the sensitivity grid, and
 // the post-campaign RNG state must all match, under any chunk
@@ -261,7 +272,8 @@ RecoveryRun drive_recovery(const LiveArrayCampaign& campaign,
     if (batched)
       campaign.run_chunk(cfg, core, side, step, nullptr, grid);
     else
-      campaign.run_chunk_reference(cfg, core, side, step, nullptr, grid);
+      CampaignOracles::recovery_chunk(campaign, cfg, core, side, step,
+                                      nullptr, grid);
   }
   RecoveryRun run;
   run.strikes = core.partial;
@@ -421,9 +433,9 @@ TEST(BatchEngineRecovery, GridCellsMatchReference) {
 
 // ---------------------------------------------------------------------------
 // Temporal: the batched run_chunk (system_campaign_batch.cpp) against
-// run_chunk_reference over the case-study schedule — the only
-// workload with real residency spans, unmap indices, and per-block
-// ACE fractions.
+// the reference loop (CampaignOracles) over the case-study schedule —
+// the only workload with real residency spans, unmap indices, and
+// per-block ACE fractions.
 
 struct TemporalFixture {
   Workload workload;
@@ -454,7 +466,8 @@ TemporalRun drive_temporal(const TemporalCampaign& campaign,
     if (batched)
       campaign.run_chunk(cfg, state, step, nullptr, grid);
     else
-      campaign.run_chunk_reference(cfg, state, step, nullptr, grid);
+      CampaignOracles::temporal_chunk(campaign, cfg, state, step, nullptr,
+                                      grid);
   }
   return TemporalRun{state.partial, state.rng.next_u64()};
 }

@@ -1,13 +1,16 @@
-// Regression tests for the campaign progress contract: invoked every
-// progress_interval strikes plus once at completion — and exactly once
-// at completion even when the total is an exact multiple of the
-// interval (the historical double-fire shape).
+// Regression tests for the campaign progress contract: invoked at the
+// first chunk boundary progress_interval strikes past the previous
+// report, plus once at completion — and exactly once at completion even
+// when the total is an exact multiple of the interval (the historical
+// double-fire shape). One-strike chunks make every strike a boundary,
+// so the reports land exactly on the interval multiples.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
 
@@ -26,7 +29,10 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> run_with_progress(
   const std::vector<InjectionRegion> regions{
       InjectionRegion{RegionGeometry(512, 8), ProtectionKind::SecDed, 0.9,
                       1}};
-  run_campaign(regions, StrikeMultiplicityModel::for_node(40.0), cfg);
+  exec::ExecConfig exec;
+  exec.chunk_strikes = 1;
+  exec::run_campaign_sharded(regions, StrikeMultiplicityModel::for_node(40.0),
+                             cfg, exec);
   return calls;
 }
 
@@ -65,12 +71,16 @@ TEST(CampaignProgressTest, ProgressNeverChangesResults) {
                       1}};
   const StrikeMultiplicityModel model =
       StrikeMultiplicityModel::for_node(40.0);
-  const CampaignResult quiet = run_campaign(regions, model, plain);
+  exec::ExecConfig exec;
+  exec.chunk_strikes = 1;
+  const CampaignResult quiet =
+      exec::run_campaign_sharded(regions, model, plain, exec).merged;
 
   CampaignConfig noisy = plain;
   noisy.progress_interval = 7;
   noisy.progress = [](std::uint64_t, std::uint64_t) {};
-  const CampaignResult loud = run_campaign(regions, model, noisy);
+  const CampaignResult loud =
+      exec::run_campaign_sharded(regions, model, noisy, exec).merged;
   EXPECT_EQ(quiet.masked, loud.masked);
   EXPECT_EQ(quiet.dre, loud.dre);
   EXPECT_EQ(quiet.due, loud.due);

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/avf.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
 namespace {
+
+/// The serial campaign: one job, one shard.
+CampaignResult serial_campaign(const std::vector<InjectionRegion>& regions,
+                               const StrikeMultiplicityModel& model,
+                               const CampaignConfig& cfg) {
+  return exec::run_campaign_sharded(regions, model, cfg, {}).merged;
+}
 
 InjectionRegion make_region(ProtectionKind protection,
                             std::uint64_t data_bytes = 1024,
@@ -107,9 +115,9 @@ TEST(CampaignTest, DeterministicForFixedSeed) {
   CampaignConfig cfg;
   cfg.strikes = 20'000;
   const CampaignResult a =
-      run_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
+      serial_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
   const CampaignResult b =
-      run_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
+      serial_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
   EXPECT_EQ(a.sdc, b.sdc);
   EXPECT_EQ(a.due, b.due);
   EXPECT_EQ(a.dre, b.dre);
@@ -122,7 +130,7 @@ TEST(CampaignTest, CountsSumToStrikes) {
   CampaignConfig cfg;
   cfg.strikes = 10'000;
   const CampaignResult r =
-      run_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
+      serial_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
   EXPECT_EQ(r.masked + r.dre + r.due + r.sdc, r.strikes);
 }
 
@@ -132,7 +140,7 @@ TEST(CampaignTest, ImmuneSurfaceIsFullyMasked) {
   CampaignConfig cfg;
   cfg.strikes = 5'000;
   const CampaignResult r =
-      run_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
+      serial_campaign(regions, StrikeMultiplicityModel::at_40nm(), cfg);
   EXPECT_EQ(r.masked, r.strikes);
   EXPECT_DOUBLE_EQ(r.vulnerability(), 0.0);
 }
@@ -140,10 +148,10 @@ TEST(CampaignTest, ImmuneSurfaceIsFullyMasked) {
 TEST(CampaignTest, AceOccupancyScalesHarm) {
   CampaignConfig cfg;
   cfg.strikes = 40'000;
-  const CampaignResult full = run_campaign(
+  const CampaignResult full = serial_campaign(
       {make_region(ProtectionKind::Parity, 1024, 1.0)},
       StrikeMultiplicityModel::at_40nm(), cfg);
-  const CampaignResult half = run_campaign(
+  const CampaignResult half = serial_campaign(
       {make_region(ProtectionKind::Parity, 1024, 0.5)},
       StrikeMultiplicityModel::at_40nm(), cfg);
   EXPECT_NEAR(half.vulnerability(), 0.5 * full.vulnerability(), 0.02);
@@ -159,7 +167,7 @@ TEST(CampaignTest, MonteCarloAgreesWithAnalyticSecDed) {
   CampaignConfig cfg;
   cfg.strikes = 200'000;
   const CampaignResult mc =
-      run_campaign({make_region(ProtectionKind::SecDed)}, model, cfg);
+      serial_campaign({make_region(ProtectionKind::SecDed)}, model, cfg);
   const RegionErrorProbabilities analytic =
       region_error_probabilities(ProtectionKind::SecDed, model);
   EXPECT_LE(mc.vulnerability(), analytic.p_harmful() + 0.005);
@@ -176,7 +184,7 @@ TEST(CampaignTest, RegionsWeightedByPhysicalBits) {
   CampaignConfig cfg;
   cfg.strikes = 60'000;
   const CampaignResult r =
-      run_campaign({big, small}, StrikeMultiplicityModel::at_40nm(), cfg);
+      serial_campaign({big, small}, StrikeMultiplicityModel::at_40nm(), cfg);
   const double parity_share =
       static_cast<double>(small.geometry.physical_bits()) /
       (big.geometry.physical_bits() + small.geometry.physical_bits());
@@ -184,15 +192,15 @@ TEST(CampaignTest, RegionsWeightedByPhysicalBits) {
 }
 
 TEST(CampaignTest, RejectsBadInputs) {
-  EXPECT_THROW(run_campaign({}, StrikeMultiplicityModel::at_40nm(), {}),
+  EXPECT_THROW(serial_campaign({}, StrikeMultiplicityModel::at_40nm(), {}),
                InvalidArgument);
   InjectionRegion bad = make_region(ProtectionKind::Parity);
   bad.ace_occupancy = 1.5;
-  EXPECT_THROW(run_campaign({bad}, StrikeMultiplicityModel::at_40nm(), {}),
+  EXPECT_THROW(serial_campaign({bad}, StrikeMultiplicityModel::at_40nm(), {}),
                InvalidArgument);
   bad = make_region(ProtectionKind::Parity);
   bad.interleave = 0;
-  EXPECT_THROW(run_campaign({bad}, StrikeMultiplicityModel::at_40nm(), {}),
+  EXPECT_THROW(serial_campaign({bad}, StrikeMultiplicityModel::at_40nm(), {}),
                InvalidArgument);
 }
 

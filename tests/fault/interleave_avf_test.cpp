@@ -82,7 +82,8 @@ TEST(InterleaveAvfTest, AnalyticTracksMonteCarlo) {
                                  ProtectionKind::SecDed, 1.0, il};
     CampaignConfig cfg;
     cfg.strikes = 200'000;
-    const CampaignResult mc = run_campaign({region}, strikes(), cfg);
+    const CampaignResult mc =
+        exec::run_campaign_sharded({region}, strikes(), cfg, {}).merged;
     // The analytic worst-hit-word model is an upper bound on harm and
     // tight to within straddle effects.
     EXPECT_LE(mc.vulnerability(), analytic.p_harmful() + 0.005)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ftspm/core/system_campaign.h"
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/technology_library.h"
@@ -38,6 +39,15 @@ std::vector<RecoveryRegion> regions(double occupancy = 0.6) {
   return {secded, parity};
 }
 
+/// The serial recovery campaign: one job, one shard.
+RecoveryResult serial_recovery(const std::vector<RecoveryRegion>& surfaces,
+                               const CampaignConfig& cfg,
+                               const RecoveryPolicy& policy) {
+  return exec::run_recovery_campaign_sharded(surfaces, model(), cfg, policy,
+                                             {})
+      .merged;
+}
+
 void expect_same(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.strikes, b.strikes);
   EXPECT_EQ(a.masked, b.masked);
@@ -64,12 +74,12 @@ TEST(RecoveryCampaignTest, InactivePolicyReproducesTheStaticCampaign) {
   cfg.strikes = 25'000;
   std::vector<InjectionRegion> inject;
   for (const RecoveryRegion& r : regions()) inject.push_back(r.inject);
-  const CampaignResult reference = run_campaign(inject, model(), cfg);
+  const CampaignResult reference =
+      exec::run_campaign_sharded(inject, model(), cfg, {}).merged;
 
   const RecoveryPolicy policy;  // recover=false, scrub_interval=0
   ASSERT_FALSE(policy.active());
-  const RecoveryResult r =
-      run_recovery_campaign(regions(), model(), cfg, policy);
+  const RecoveryResult r = serial_recovery(regions(), cfg, policy);
   expect_same(r.strikes, reference);
   expect_same(r.recovery, RecoveryCounters{});
 }
@@ -80,17 +90,14 @@ TEST(RecoveryCampaignTest, DeterministicForAFixedConfig) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 1'024;
-  const RecoveryResult a =
-      run_recovery_campaign(regions(), model(), cfg, policy);
-  const RecoveryResult b =
-      run_recovery_campaign(regions(), model(), cfg, policy);
+  const RecoveryResult a = serial_recovery(regions(), cfg, policy);
+  const RecoveryResult b = serial_recovery(regions(), cfg, policy);
   expect_same(a.strikes, b.strikes);
   expect_same(a.recovery, b.recovery);
 
   CampaignConfig other = cfg;
   other.seed ^= 1;
-  const RecoveryResult c =
-      run_recovery_campaign(regions(), model(), other, policy);
+  const RecoveryResult c = serial_recovery(regions(), other, policy);
   EXPECT_NE(c.recovery.corrections, a.recovery.corrections);
 }
 
@@ -100,8 +107,7 @@ TEST(RecoveryCampaignTest, CountersMoveAndOutcomesStayConsistent) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 2'048;
-  const RecoveryResult r =
-      run_recovery_campaign(regions(), model(), cfg, policy);
+  const RecoveryResult r = serial_recovery(regions(), cfg, policy);
 
   EXPECT_EQ(r.strikes.masked + r.strikes.dre + r.strikes.due + r.strikes.sdc,
             r.strikes.strikes);
@@ -132,7 +138,7 @@ TEST(RecoveryCampaignTest, ScrubOnlyModeRepairsLatentErrors) {
   scrub_only.scrub_interval = 512;
   ASSERT_TRUE(scrub_only.active());
   const RecoveryResult scrubbed =
-      run_recovery_campaign(regions(0.3), model(), cfg, scrub_only);
+      serial_recovery(regions(0.3), cfg, scrub_only);
   EXPECT_GT(scrubbed.recovery.scrub_corrections, 0u);
   // Demand reads are modeled but never repair in this mode.
   EXPECT_GT(scrubbed.recovery.demand_reads, 0u);
@@ -142,12 +148,10 @@ TEST(RecoveryCampaignTest, ScrubOnlyModeRepairsLatentErrors) {
   // the errors that accumulate into DUE/SDC between demand reads.
   RecoveryPolicy recover_only;
   recover_only.recover = true;
-  const RecoveryResult base =
-      run_recovery_campaign(regions(0.3), model(), cfg, recover_only);
+  const RecoveryResult base = serial_recovery(regions(0.3), cfg, recover_only);
   RecoveryPolicy both = recover_only;
   both.scrub_interval = 512;
-  const RecoveryResult swept =
-      run_recovery_campaign(regions(0.3), model(), cfg, both);
+  const RecoveryResult swept = serial_recovery(regions(0.3), cfg, both);
   EXPECT_LT(swept.strikes.vulnerability(), base.strikes.vulnerability());
 }
 
@@ -168,8 +172,7 @@ TEST(RecoveryCampaignTest, RefetchCostMatchesTheSimulatorTransferModel) {
   const SimConfig sim;
   const RecoveryPolicy policy =
       make_recovery_policy(sim, /*recover=*/true, /*scrub_interval=*/0);
-  const RecoveryResult r =
-      run_recovery_campaign({region}, model(), cfg, policy);
+  const RecoveryResult r = serial_recovery({region}, cfg, policy);
   ASSERT_GT(r.recovery.refetches, 0u);
   EXPECT_EQ(r.recovery.unrecoverable, 0u);
   const std::uint64_t per_refetch = dma_transfer_cycles(

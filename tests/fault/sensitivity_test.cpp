@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/technology.h"
@@ -193,10 +194,14 @@ TEST(SensitivityCampaignTest, GridTotalsEqualCampaignCounters) {
   config.strikes = 2000;
   config.seed = 0xfeedface;
 
-  SensitivityGrid grid = make_sensitivity_grid(regions, 16);
-  const CampaignResult with_grid =
-      run_campaign(regions, model, config, &grid);
-  const CampaignResult without = run_campaign(regions, model, config);
+  exec::ExecConfig gridded;
+  gridded.sensitivity_buckets = 16;
+  const exec::ShardedRun with_run =
+      exec::run_campaign_sharded(regions, model, config, gridded);
+  const CampaignResult& with_grid = with_run.merged;
+  const SensitivityGrid& grid = with_run.sensitivity;
+  const CampaignResult without =
+      exec::run_campaign_sharded(regions, model, config, {}).merged;
 
   // Recording never perturbs the campaign.
   EXPECT_EQ(with_grid.strikes, without.strikes);
@@ -223,7 +228,9 @@ TEST(SensitivityCampaignTest, ChunkedRecordingMatchesSerial) {
   config.seed = 42;
 
   SensitivityGrid serial = make_sensitivity_grid(regions, 8);
-  run_campaign(regions, model, config, &serial);
+  CampaignShardState whole = begin_campaign_shard(config.seed);
+  run_campaign_chunk(regions, model, config, whole, config.strikes, nullptr,
+                     &serial);
 
   SensitivityGrid chunked = make_sensitivity_grid(regions, 8);
   CampaignShardState state = begin_campaign_shard(config.seed);

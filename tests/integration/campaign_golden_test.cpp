@@ -12,11 +12,12 @@
 
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
-#include "ftspm/ecc/secded_codec.h"
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/mem/technology_library.h"
 #include "ftspm/workload/case_study.h"
+#include "support/campaign_oracles.h"
 
 namespace ftspm {
 namespace {
@@ -44,13 +45,20 @@ CampaignConfig config_for(std::uint64_t seed, std::uint64_t strikes) {
   return cfg;
 }
 
+/// The serial static campaign: one job, one shard.
+CampaignResult run_static(const std::vector<InjectionRegion>& regions,
+                          const StrikeMultiplicityModel& model,
+                          const CampaignConfig& cfg) {
+  return exec::run_campaign_sharded(regions, model, cfg, {}).merged;
+}
+
 TEST(CampaignGolden, StaticSecDedSurface) {
   const InjectionRegion region{RegionGeometry(8192, 8), ProtectionKind::SecDed,
                                0.8, 1};
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  expect_counts(run_campaign({region}, model, config_for(kSeedA, 200'000)),
+  expect_counts(run_static({region}, model, config_for(kSeedA, 200'000)),
                 200'000, {39784, 99820, 50879, 9517});
-  expect_counts(run_campaign({region}, model, config_for(kSeedB, 200'000)),
+  expect_counts(run_static({region}, model, config_for(kSeedB, 200'000)),
                 200'000, {39711, 100020, 50753, 9516});
 }
 
@@ -61,9 +69,9 @@ TEST(CampaignGolden, StaticMixedSurfaces) {
       {RegionGeometry(2048, 0), ProtectionKind::None, 0.4, 1},
       {RegionGeometry(2048, 0), ProtectionKind::Immune, 1.0, 1}};
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  expect_counts(run_campaign(regions, model, config_for(kSeedA, 200'000)),
+  expect_counts(run_static(regions, model, config_for(kSeedA, 200'000)),
                 200'000, {61866, 47912, 62273, 27949});
-  expect_counts(run_campaign(regions, model, config_for(kSeedB, 200'000)),
+  expect_counts(run_static(regions, model, config_for(kSeedB, 200'000)),
                 200'000, {62043, 48020, 62235, 27702});
 }
 
@@ -71,11 +79,11 @@ TEST(CampaignGolden, InterleavedParityAndUnprotectedSurfaces) {
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const InjectionRegion parity{RegionGeometry(8192, 1), ProtectionKind::Parity,
                                1.0, 2};
-  expect_counts(run_campaign({parity}, model, config_for(kSeedA, 200'000)),
+  expect_counts(run_static({parity}, model, config_for(kSeedA, 200'000)),
                 200'000, {0, 0, 175920, 24080});
   const InjectionRegion none{RegionGeometry(4096, 0), ProtectionKind::None,
                              0.5, 1};
-  expect_counts(run_campaign({none}, model, config_for(kSeedA, 200'000)),
+  expect_counts(run_static({none}, model, config_for(kSeedA, 200'000)),
                 200'000, {99702, 0, 0, 100298});
 }
 
@@ -91,8 +99,10 @@ RecoveryResult run_golden_recovery(std::uint64_t seed) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 2048;
-  return run_recovery_campaign({region}, StrikeMultiplicityModel::at_40nm(),
-                               config_for(seed, 60'000), policy);
+  return exec::run_recovery_campaign_sharded(
+             {region}, StrikeMultiplicityModel::at_40nm(),
+             config_for(seed, 60'000), policy, {})
+      .merged;
 }
 
 void expect_golden_recovery_a(const RecoveryResult& r) {
@@ -134,59 +144,14 @@ TEST(CampaignGolden, TemporalCaseStudyCampaign) {
   const StructureEvaluator evaluator;
   const SystemResult sys = evaluator.evaluate_ftspm(w, prof);
   const auto run = [&](std::uint64_t seed) {
-    return run_temporal_campaign(evaluator.ftspm_layout(), sys.plan, w.program,
-                                 prof, evaluator.strike_model(),
-                                 config_for(seed, 50'000));
+    return run_temporal_campaign_parallel(evaluator.ftspm_layout(), sys.plan,
+                                          w.program, prof,
+                                          evaluator.strike_model(),
+                                          config_for(seed, 50'000), {})
+        .merged;
   };
   expect_counts(run(kSeedA), 50'000, {47129, 1771, 946, 154});
   expect_counts(run(kSeedB), 50'000, {47192, 1731, 909, 168});
-}
-
-// The recovery and temporal campaigns now run on the same batched fold
-// entry points as the static one, so their goldens get the same
-// backend sweep: every fold kernel the host offers must land exactly
-// on the numbers pinned above. The FTSPM_DISABLE_SIMD CI leg runs the
-// scalar iteration of this test, keeping both code paths pinned.
-TEST(CampaignGolden, RecoveryAndTemporalGoldensAcrossFoldBackends) {
-  const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
-  const ProgramProfile prof = profile_workload(w);
-  const StructureEvaluator evaluator;
-  const SystemResult sys = evaluator.evaluate_ftspm(w, prof);
-  for (const char* backend : {"scalar", "ssse3", "avx2"}) {
-    if (!SecDedCodec::set_fold_backend(backend)) continue;  // CPU lacks it
-    SCOPED_TRACE(backend);
-    expect_golden_recovery_a(run_golden_recovery(kSeedA));
-    expect_counts(
-        run_temporal_campaign(evaluator.ftspm_layout(), sys.plan, w.program,
-                              prof, evaluator.strike_model(),
-                              config_for(kSeedA, 50'000)),
-        50'000, {47129, 1771, 946, 154});
-  }
-  EXPECT_TRUE(SecDedCodec::set_fold_backend("auto"));
-}
-
-// The batched engine's deferred SEC-DED patterns resolve through
-// SecDedCodec::fold_syndromes, which dispatches to AVX2/SSSE3/scalar
-// kernels at runtime. Counters must not depend on which kernel ran:
-// every backend the host CPU offers has to land exactly on the golden
-// numbers above. An FTSPM_DISABLE_SIMD build runs the scalar leg of
-// this same test, so both code paths stay pinned in CI.
-TEST(CampaignGolden, ScalarAndSimdFoldPathsHitTheSameGoldens) {
-  const std::vector<InjectionRegion> regions{
-      {RegionGeometry(8192, 8), ProtectionKind::SecDed, 0.9, 1},
-      {RegionGeometry(8192, 1), ProtectionKind::Parity, 0.7, 1},
-      {RegionGeometry(2048, 0), ProtectionKind::None, 0.4, 1},
-      {RegionGeometry(2048, 0), ProtectionKind::Immune, 1.0, 1}};
-  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  for (const char* backend : {"scalar", "ssse3", "avx2"}) {
-    if (!SecDedCodec::set_fold_backend(backend)) continue;  // CPU lacks it
-    SCOPED_TRACE(backend);
-    expect_counts(run_campaign(regions, model, config_for(kSeedA, 200'000)),
-                  200'000, {61866, 47912, 62273, 27949});
-    expect_counts(run_campaign(regions, model, config_for(kSeedB, 200'000)),
-                  200'000, {62043, 48020, 62235, 27702});
-  }
-  EXPECT_TRUE(SecDedCodec::set_fold_backend("auto"));
 }
 
 // The scratch-carrying classifier overload, the convenience overload,

@@ -186,9 +186,10 @@ TEST_P(FuzzPipeline, SystemCampaignStaysBelowAnalyticBound) {
   CampaignConfig cfg;
   cfg.strikes = 20'000;
   cfg.seed = GetParam();
-  const CampaignResult mc = run_system_campaign(
+  const CampaignResult mc = run_system_campaign_parallel(
       evaluator.ftspm_layout(), r.plan, w.program, prof,
-      evaluator.strike_model(), cfg);
+      evaluator.strike_model(), cfg, {})
+                                .merged;
   // MC can only lose harm to codeword straddles; allow MC noise.
   EXPECT_LE(mc.vulnerability(), r.avf.vulnerability() * 1.25 + 0.01);
 }

@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "ftspm/obs/ledger.h"
+#include "ftspm/serve/campaign_spec.h"
+#include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
 
 namespace ftspm {
@@ -514,6 +517,114 @@ TEST(CliTest, CampaignProbabilityFlagsRejectNonFiniteAndOutOfRange) {
     EXPECT_NE(dirty.output.find("--dirty-fraction"), std::string::npos)
         << dirty.output;
   }
+}
+
+TEST(CliTest, CampaignCountFlagsRejectWhatTheDaemonRejects) {
+  // `campaign` parses its flags into the daemon's CampaignSpec, so a
+  // value the wire decoder refuses must be a usage error here too —
+  // never a wrapped unsigned (a hang, a bad_alloc, a bogus report).
+  struct Case {
+    const char* flags;
+    const char* spec;  ///< The same request as a wire spec.
+  };
+  const Case cases[] = {
+      {"--strikes 0", R"({"strikes":0})"},
+      {"--strikes -3", R"({"strikes":-3})"},
+      {"--refetch-words 0", R"({"refetch_words":0})"},
+      {"--shards -1", R"({"shards":-1})"},
+      {"--interleave -1", R"({"interleave":-1})"},
+      {"--interleave 0", R"({"interleave":0})"},
+      {"--size 4", R"({"size":4})"},
+      {"--scrub-interval -2", R"({"scrub_interval":-2})"},
+      {"--shards 5000", R"({"shards":5000})"},
+  };
+  for (const Case& c : cases) {
+    const CommandResult r = run_tool(std::string("campaign ") + c.flags);
+    EXPECT_EQ(r.exit_code, 2) << c.flags << "\n" << r.output;
+    EXPECT_NE(r.output.find("run `ftspm_tool help` for usage"),
+              std::string::npos)
+        << c.flags << "\n" << r.output;
+    EXPECT_THROW(serve::spec_from_json(parse_json(c.spec)), InvalidArgument)
+        << c.spec;
+  }
+}
+
+TEST(CliTest, CountFlagsRejectNegativeValuesInEverySubcommand) {
+  // Every count flag parses strictly: "-1" is a usage error, not
+  // 2^64 - 1 after an unsigned cast.
+  const char* cases[] = {
+      "evaluate qsort --scale -1",
+      "profile qsort --scale -1",
+      "simulate qsort --scale -1",
+      "map qsort --write-threshold -1",
+      "map qsort --word-threshold -1",
+      "schedule case_study --max-commands -1",
+      "reuse qsort --line-bytes -1",
+      "partition qsort sha --granule -1",
+      "runs list --last -1",
+      "suite --scale -1",
+      "stats qsort --scale -1",
+  };
+  for (const char* args : cases) {
+    const CommandResult r = run_tool(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("run `ftspm_tool help` for usage"),
+              std::string::npos)
+        << args << "\n" << r.output;
+  }
+}
+
+TEST(CliTest, CampaignLedgerMatchesTheSpecRunInProcess) {
+  // The CLI is a flag parser over serve::run_campaign_spec: for every
+  // flag set below, the ledger counters `campaign --ledger` appends
+  // must equal the record of the same spec run in this process.
+  struct Case {
+    const char* flags;
+    serve::CampaignSpec spec;
+    std::uint32_t jobs = 1;
+  };
+  const auto spec_with = [](auto edit) {
+    serve::CampaignSpec spec;
+    spec.strikes = 20'000;
+    edit(spec);
+    return spec;
+  };
+  const Case cases[] = {
+      {"", spec_with([](serve::CampaignSpec&) {})},
+      {"--recover", spec_with([](serve::CampaignSpec& s) { s.recover = true; })},
+      {"--scrub-interval 256",
+       spec_with([](serve::CampaignSpec& s) { s.scrub_interval = 256; })},
+      {"--protection parity",
+       spec_with([](serve::CampaignSpec& s) { s.protection = "parity"; })},
+      {"--protection none",
+       spec_with([](serve::CampaignSpec& s) { s.protection = "none"; })},
+      {"--interleave 2",
+       spec_with([](serve::CampaignSpec& s) { s.interleave = 2; })},
+      {"--shards 4 --jobs 2",
+       spec_with([](serve::CampaignSpec& s) { s.shards = 4; }), 2},
+  };
+  const std::string ledger = temp_path("ftspm_cli_spec_ledger.jsonl");
+  for (const Case& c : cases) {
+    std::remove(ledger.c_str());
+    const CommandResult r = run_tool_stdout(
+        std::string("campaign --strikes 20000 ") + c.flags + " --ledger " +
+        ledger);
+    ASSERT_EQ(r.exit_code, 0) << c.flags << "\n" << r.output;
+    const std::vector<obs::LedgerRecord> records = obs::read_ledger(ledger);
+    ASSERT_EQ(records.size(), 1u) << c.flags;
+
+    serve::CampaignRunHooks hooks;
+    hooks.jobs = c.jobs;
+    // Through the ledger's own line format, which sorts the counters.
+    const obs::LedgerRecord want = obs::LedgerRecord::from_json(
+        parse_json(serve::campaign_spec_record(
+                       c.spec, serve::run_campaign_spec(c.spec, hooks))
+                       .to_json()));
+    EXPECT_EQ(records[0].counters, want.counters) << c.flags;
+    EXPECT_EQ(records[0].shards, want.shards) << c.flags;
+    EXPECT_EQ(records[0].workload, want.workload) << c.flags;
+  }
+  std::remove(ledger.c_str());
 }
 
 TEST(CliTest, CampaignJsonTimingOnlyWithTimeFlag) {
