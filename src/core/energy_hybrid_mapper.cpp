@@ -82,7 +82,8 @@ MappingPlan determine_energy_hybrid_mapping(const SpmLayout& layout,
     const BlockProfile& bp = profile.blocks[i];
     const double share =
         bp.accesses() > 0
-            ? static_cast<double>(bp.writes) / bp.accesses()
+            ? static_cast<double>(bp.writes) /
+                  static_cast<double>(bp.accesses())
             : 0.0;
     (share > config.write_share_threshold ? to_sram : to_nvm)
         .push_back(static_cast<BlockId>(i));

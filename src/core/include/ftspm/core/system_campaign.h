@@ -90,12 +90,10 @@ class TemporalCampaign {
   /// stopping at config.strikes. RNG consumption matches the
   /// strike-at-a-time reference loop (tests/support/campaign_oracles.h)
   /// draw for draw, so any chunking schedule yields identical
-  /// counters. The observer (nullable) sees every strike's outcome;
-  /// `grid` (nullable, see fault/sensitivity.h) records each strike's
-  /// origin and final outcome without affecting results.
+  /// counters. `grid` (nullable, see fault/sensitivity.h) records each
+  /// strike's origin and final outcome without affecting results.
   void run_chunk(const CampaignConfig& config, CampaignShardState& state,
                  std::uint64_t max_strikes,
-                 CampaignObserver* observer = nullptr,
                  SensitivityGrid* grid = nullptr) const;
 
   /// The injection surfaces (one per SPM region, in region order) the

@@ -39,8 +39,9 @@ std::vector<std::uint64_t> split_bytes(const std::vector<double>& demands,
   std::vector<std::uint64_t> shares(demands.size(), 0);
   std::uint64_t assigned = 0;
   for (std::size_t i = 0; i < demands.size(); ++i) {
-    const double fraction = demand_sum > 0.0 ? demands[i] / demand_sum
-                                             : 1.0 / demands.size();
+    const double fraction =
+        demand_sum > 0.0 ? demands[i] / demand_sum
+                         : 1.0 / static_cast<double>(demands.size());
     shares[i] = static_cast<std::uint64_t>(fraction *
                                            static_cast<double>(granules));
     if (config.guarantee_floor)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 
@@ -153,32 +152,14 @@ exec::ShardedRun run_temporal_campaign_parallel(
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
     const CampaignConfig& config, const exec::ExecConfig& exec_config) {
   const TemporalCampaign campaign(layout, plan, program, profile, strikes);
-  // One private grid per shard, merged post-join in shard order — the
-  // same discipline as the exec runner's delta registries, so the
-  // merged grid is jobs-invariant.
-  std::vector<SensitivityGrid> grids;
-  if (exec_config.sensitivity_buckets != 0) {
-    const SensitivityGrid proto = make_sensitivity_grid(
-        campaign.surfaces(), exec_config.sensitivity_buckets);
-    grids.assign(exec_config.effective_shards(), proto);
-  }
-  exec::ShardedRun run = exec::run_sharded_campaign(
+  return exec::run_sharded_campaign(
       config, exec_config, "temporal", TemporalCampaign::kSeedSalt,
+      make_sensitivity_grid(campaign.surfaces(),
+                            exec_config.sensitivity_buckets),
       [&](const exec::CampaignShard& shard, CampaignShardState& state,
-          std::uint64_t max_strikes) {
-        // Tallies into the worker's per-shard delta registry; the
-        // runner merges the deltas post-join in shard order.
-        CampaignObserver observer;
-        campaign.run_chunk(shard.config, state, max_strikes,
-                           obs::enabled() ? &observer : nullptr,
-                           grids.empty() ? nullptr : &grids[shard.index]);
+          std::uint64_t max_strikes, SensitivityGrid* grid) {
+        campaign.run_chunk(shard.config, state, max_strikes, grid);
       });
-  if (!grids.empty()) {
-    run.sensitivity = grids.front();
-    for (std::size_t i = 1; i < grids.size(); ++i)
-      run.sensitivity.merge_from(grids[i]);
-  }
-  return run;
 }
 
 }  // namespace ftspm

@@ -15,16 +15,18 @@
 //    (DrawBernoulli), in the same first-match order;
 //  * classification goes through classify_batch_strike: <= 2-bit
 //    patterns resolve from the popcount class LUT, >= 3-bit SEC-DED
-//    patterns are deferred onto the block's SoA fold list and resolved
-//    by one SecDedCodec::fold_syndromes pass per block instead of a
-//    classify_pattern call per word.
+//    patterns are deferred onto the block's SoA fold list, and the
+//    block finisher shared with the static engine (detail::
+//    finish_block) resolves them by one SecDedCodec::fold_syndromes
+//    pass per block instead of a classify_pattern call per word, then
+//    applies the ACE keep, tallies and records the grid.
 //
-// Equivalence contract: counters, grids, observer calls, and the RNG
-// stream match the reference loop bit for bit for every chunk
-// schedule and block width. The draw schedule per strike is region,
-// origin, instant, then — only when a mapped block occupies the struck
-// word at that instant — multiplicity, one burned draw per struck
-// codeword, and one ACE Bernoulli. The ACE draw fires exactly when the
+// Equivalence contract: counters, grids, and the RNG stream match the
+// reference loop bit for bit for every chunk schedule and block
+// width. The draw schedule per strike is region, origin, instant,
+// then — only when a mapped block occupies the struck word at that
+// instant — multiplicity, one burned draw per struck codeword, and one
+// ACE Bernoulli. The ACE draw fires exactly when the
 // surface is not Immune: any flip in an occupied non-Immune word
 // yields a non-Masked pre-ACE verdict (deferred >= 3-bit patterns
 // included — they can never fold to Masked), and Immune words classify
@@ -36,9 +38,7 @@
 #include <vector>
 
 #include "ftspm/core/system_campaign.h"
-#include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/sensitivity.h"
 
 namespace ftspm {
@@ -62,8 +62,9 @@ struct SpanInfo {
 void TemporalCampaign::run_chunk(const CampaignConfig& config,
                                  CampaignShardState& state,
                                  std::uint64_t max_strikes,
-                                 CampaignObserver* observer,
                                  SensitivityGrid* grid) const {
+  CampaignScratch::Batch& batch = state.scratch.batch;
+  const std::uint32_t width = detail::begin_blocks(batch);
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
   if (end <= state.done) {
@@ -71,11 +72,6 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     return;
   }
 
-  // An inert observer's on_strike is a no-op per strike; skip the
-  // calls outright (same block-level check the static engine makes).
-  if (observer != nullptr && !observer->active()) observer = nullptr;
-
-  CampaignScratch::Batch& batch = state.scratch.batch;
   detail::build_region_table(surfaces_, batch);
   const detail::FlipCutoffs cuts =
       detail::make_flip_cutoffs(strikes_, config.max_flips);
@@ -109,24 +105,12 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     span_begin[region_count] = spans.size();
   }
 
-  const std::uint32_t width =
-      batch.width != 0 ? batch.width : kCampaignBatchWidth;
-  batch.region_of.resize(width);
-  batch.origin.resize(width);
-  batch.outcome.resize(width);
-  batch.ace_keep.resize(width);
-
   // The generator runs as a stack copy, written back once per chunk.
   Rng rng = state.rng;
-  std::uint64_t tallies[4] = {0, 0, 0, 0};
 
-  for (std::uint64_t base = state.done; base < end;) {
+  for (std::uint64_t base = state.done; base < end; base += width) {
     const auto block =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(width, end - base));
-    batch.fold_data.clear();
-    batch.fold_check.clear();
-    batch.fold_slot.clear();
-
     for (std::uint32_t slot = 0; slot < block; ++slot) {
       // Aim draws in the reference order: region, origin, instant.
       const std::size_t rid =
@@ -165,43 +149,8 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
       batch.ace_keep[slot] = keep;
     }
 
-    // Deferred >= 3-bit SEC-DED patterns: one batched syndrome fold,
-    // max-merged into the owning slots before the ACE keep applies.
-    if (!batch.fold_data.empty()) {
-      const std::size_t n = batch.fold_data.size();
-      batch.fold_syndrome.resize(n);
-      SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                  batch.fold_check.data(), n,
-                                  batch.fold_syndrome.data());
-      for (std::size_t k = 0; k < n; ++k) {
-        std::uint8_t& o = batch.outcome[batch.fold_slot[k]];
-        o = std::max(o, detail::decode_fold_outcome(batch.fold_syndrome[k],
-                                                    batch.fold_data[k]));
-      }
-    }
-
-    // Tally / observe in strike order, applying the carried ACE keep.
-    const bool want_slots = observer != nullptr || grid != nullptr;
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      const auto o = static_cast<std::uint8_t>(batch.outcome[slot] *
-                                               batch.ace_keep[slot]);
-      ++tallies[o];
-      if (want_slots) {
-        const auto outcome = static_cast<StrikeOutcome>(o);
-        if (observer != nullptr) observer->on_strike(outcome);
-        if (grid != nullptr)
-          grid->record(batch.region_of[slot], batch.origin[slot], outcome);
-      }
-    }
-    base += block;
+    detail::finish_block(batch, block, state.partial, grid);
   }
-
-  state.partial.strikes += end - state.done;
-  state.partial.masked +=
-      tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
-  state.partial.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
-  state.partial.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
-  state.partial.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
   state.rng = rng;
   state.done = end;
 }

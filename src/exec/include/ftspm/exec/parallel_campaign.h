@@ -128,13 +128,15 @@ struct ShardedRun {
   SensitivityGrid sensitivity;
 };
 
-/// Advances `state` by at most `max_strikes` strikes of `shard`.
-/// Called concurrently for different shards, never for the same shard;
-/// implementations must touch only the shard's own state and shared
-/// *read-only* context.
+/// Advances `state` by at most `max_strikes` strikes of `shard`,
+/// recording each strike into `grid` (the shard's own sensitivity
+/// grid, or nullptr when the run has none). Called concurrently for
+/// different shards, never for the same shard; implementations must
+/// touch only the shard's own state and grid and shared *read-only*
+/// context.
 using ShardChunkFn = std::function<void(
     const CampaignShard& shard, CampaignShardState& state,
-    std::uint64_t max_strikes)>;
+    std::uint64_t max_strikes, SensitivityGrid* grid)>;
 
 /// Runs the sharded campaign described by (root, exec) with
 /// kind-specific chunk execution. `seed_salt` is xored into each
@@ -143,9 +145,21 @@ using ShardChunkFn = std::function<void(
 /// cannot resume a temporal campaign. Root progress callbacks fire
 /// with globally aggregated strike counts, monotonically, completion
 /// exactly once.
+///
+/// What every campaign kind shares lives here, not in the chunk
+/// function:
+///  * grids — when `grid_proto` is active, each shard records into its
+///    own copy and the copies merge in shard order into
+///    ShardedRun::sensitivity (jobs-invariant);
+///  * campaign counters — with observability on, each chunk's strike
+///    delta is added to `campaign.strikes` and its due + sdc delta to
+///    `campaign.vulnerable` in the shard's delta registry, merged into
+///    the root registry in shard order after the join. A resumed run
+///    counts only the strikes it executed.
 ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 const ExecConfig& exec, std::string_view kind,
                                 std::uint64_t seed_salt,
+                                const SensitivityGrid& grid_proto,
                                 const ShardChunkFn& run_chunk);
 
 /// The static injector campaign (fault/injector.h run_campaign_chunk),

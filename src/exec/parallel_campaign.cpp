@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "ftspm/exec/thread_pool.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/obs/event_log.h"
 #include "ftspm/obs/metrics.h"
 #include "ftspm/obs/periodic_writer.h"
@@ -50,7 +49,11 @@ class ProgressAggregator {
     if (root_.progress_interval == 0 || !root_.progress) return;
     const std::lock_guard<std::mutex> lock(mutex_);
     if (done >= root_.strikes) return;  // completion is the coordinator's
-    if (done - last_reported_ < root_.progress_interval) return;
+    // A worker whose fetch_add ran first can reach the lock after one
+    // that already reported a larger count; its report is stale.
+    if (done <= last_reported_ ||
+        done - last_reported_ < root_.progress_interval)
+      return;
     last_reported_ = done;
     root_.progress(done, root_.strikes);
   }
@@ -225,9 +228,9 @@ class HeartbeatLine {
 /// pool-utilization wall timers. Emitted by the coordinator after the
 /// pool joined, in shard order, so enabling observability never
 /// perturbs (and never races with) the campaign. Campaign counters are
-/// NOT emitted here: the per-strike observers already tallied them into
-/// the per-shard delta registries, which the runner merges into the
-/// root registry in shard order — keeping the merged snapshot
+/// NOT emitted here: the workers already booked each chunk's deltas
+/// into the per-shard delta registries, which the runner merges into
+/// the root registry in shard order — keeping the merged snapshot
 /// byte-identical for any --jobs.
 void emit_observability(const std::vector<CampaignShard>& plan,
                         const std::vector<CampaignShardState>& states,
@@ -259,6 +262,7 @@ void emit_observability(const std::vector<CampaignShard>& plan,
 ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 const ExecConfig& exec, std::string_view kind,
                                 std::uint64_t seed_salt,
+                                const SensitivityGrid& grid_proto,
                                 const ShardChunkFn& run_chunk) {
   FTSPM_REQUIRE(static_cast<bool>(run_chunk), "a chunk runner is required");
   FTSPM_REQUIRE(exec.chunk_strikes >= 1, "chunk_strikes must be >= 1");
@@ -328,9 +332,15 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   }
 
   // Per-shard delta registries: workers run with registry() redirected
-  // to their shard's delta so per-strike instrumentation keeps firing
+  // to their shard's delta so chunk instrumentation keeps firing
   // without races; merged into the root in shard order after the join.
   std::vector<obs::Registry> shard_registries(shard_count);
+
+  // One private sensitivity grid per shard (none when the prototype is
+  // inactive), touched only by the worker that owns the shard and
+  // merged in shard order after the join.
+  std::vector<SensitivityGrid> grids;
+  if (grid_proto.active()) grids.assign(shard_count, grid_proto);
 
   // Heartbeat feed: relaxed per-shard progress slots plus a global
   // chunk counter. Cheap enough to maintain unconditionally.
@@ -384,6 +394,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
       const obs::ThreadRegistryScope redirect(shard_registries[i]);
       const CampaignShard& shard = plan[i];
       CampaignShardState& state = states[i];
+      SensitivityGrid* const grid = grids.empty() ? nullptr : &grids[i];
       if (span_start != nullptr)
         span_start[i].store(span_ns(), std::memory_order_relaxed);
       std::uint64_t since_checkpoint = 0;
@@ -399,9 +410,18 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
           break;
         }
         const std::uint64_t before = state.done;
-        run_chunk(shard, state, exec.effective_chunk_strikes());
+        const CampaignResult tally_before = state.partial;
+        run_chunk(shard, state, exec.effective_chunk_strikes(), grid);
         FTSPM_CHECK(state.done > before,
                     "campaign chunk runner made no progress");
+        if (obs::enabled()) {
+          const CampaignResult& p = state.partial;
+          obs::Registry& reg = obs::registry();
+          reg.counter("campaign.strikes").add(p.strikes -
+                                              tally_before.strikes);
+          reg.counter("campaign.vulnerable")
+              .add((p.due + p.sdc) - (tally_before.due + tally_before.sdc));
+        }
         const std::uint64_t advanced = state.done - before;
         progress.add(advanced);
         shard_done[i].store(state.done, std::memory_order_relaxed);
@@ -444,6 +464,11 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   for (const CampaignShardState& state : states)
     run.shard_results.push_back(state.partial);
   run.merged = merge_shard_results(run.shard_results);
+  if (!grids.empty()) {
+    run.sensitivity = grids.front();
+    for (std::size_t i = 1; i < grids.size(); ++i)
+      run.sensitivity.merge_from(grids[i]);
+  }
   run.complete = true;
   for (std::uint32_t i = 0; i < shard_count; ++i)
     if (states[i].done < plan[i].config.strikes) run.complete = false;
@@ -494,54 +519,18 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   return run;
 }
 
-namespace {
-
-/// One private sensitivity grid per shard (empty when disabled). Like
-/// the RecoveryShardSide vector, each slot is touched only by the
-/// worker that owns the shard, so no synchronization is needed.
-std::vector<SensitivityGrid> make_shard_grids(std::size_t shard_count,
-                                              const SensitivityGrid& proto) {
-  std::vector<SensitivityGrid> grids;
-  if (!proto.active()) return grids;
-  grids.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) grids.push_back(proto);
-  return grids;
-}
-
-/// Shard-order merge of the per-shard grids into `merged`, mirroring
-/// the delta-registry merge: counts end up identical for any --jobs.
-void merge_shard_grids(SensitivityGrid& merged,
-                       const std::vector<SensitivityGrid>& grids) {
-  if (grids.empty()) return;
-  merged = grids.front();
-  for (std::size_t i = 1; i < grids.size(); ++i)
-    merged.merge_from(grids[i]);
-}
-
-}  // namespace
-
 ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
                                 const StrikeMultiplicityModel& strikes,
                                 const CampaignConfig& config,
                                 const ExecConfig& exec) {
-  std::vector<SensitivityGrid> grids = make_shard_grids(
-      exec.effective_shards(),
-      exec.sensitivity_buckets != 0
-          ? make_sensitivity_grid(regions, exec.sensitivity_buckets)
-          : SensitivityGrid());
-  ShardedRun run = run_sharded_campaign(
+  return run_sharded_campaign(
       config, exec, "static", /*seed_salt=*/0,
+      make_sensitivity_grid(regions, exec.sensitivity_buckets),
       [&](const CampaignShard& shard, CampaignShardState& state,
-          std::uint64_t max_strikes) {
-        // Tallies into the worker's per-shard delta registry, merged
-        // post-join in shard order.
-        CampaignObserver observer;
+          std::uint64_t max_strikes, SensitivityGrid* grid) {
         run_campaign_chunk(regions, strikes, shard.config, state, max_strikes,
-                           obs::enabled() ? &observer : nullptr,
-                           grids.empty() ? nullptr : &grids[shard.index]);
+                           grid);
       });
-  merge_shard_grids(run.sensitivity, grids);
-  return run;
 }
 
 namespace {
@@ -598,23 +587,16 @@ RecoveryShardedRun run_recovery_campaign_sharded(
   // The runner owns the core shard states; the image/counter sides live
   // here, indexed by shard, touched only by that shard's worker.
   std::vector<RecoveryShardSide> sides(exec.effective_shards());
-  std::vector<SensitivityGrid> grids = make_shard_grids(
-      exec.effective_shards(),
-      exec.sensitivity_buckets != 0
-          ? make_sensitivity_grid(regions, exec.sensitivity_buckets)
-          : SensitivityGrid());
-  const ShardedRun run = run_sharded_campaign(
+  ShardedRun run = run_sharded_campaign(
       config, exec, "recovery", LiveArrayCampaign::kSeedSalt,
+      make_sensitivity_grid(regions, exec.sensitivity_buckets),
       [&](const CampaignShard& shard, CampaignShardState& state,
-          std::uint64_t max_strikes) {
+          std::uint64_t max_strikes, SensitivityGrid* grid) {
         RecoveryShardSide& side = sides[shard.index];
         campaign.ensure_shard_images(side, shard.config.seed);
-        CampaignObserver observer;
-        campaign.run_chunk(shard.config, state, side, max_strikes,
-                           obs::enabled() ? &observer : nullptr,
-                           grids.empty() ? nullptr : &grids[shard.index]);
+        campaign.run_chunk(shard.config, state, side, max_strikes, grid);
       });
-  merge_shard_grids(out.sensitivity, grids);
+  out.sensitivity = std::move(run.sensitivity);
 
   out.complete = run.complete;
   out.shard_results.reserve(run.shard_results.size());

@@ -173,19 +173,28 @@ void build_region_table(const std::vector<InjectionRegion>& regions,
 /// ACE-occupancy draw: `R.ace_occupancy` must be 1.0 (no draw taken
 /// here), which is how the temporal campaign applies its per-span ACE
 /// fractions after classification. Immune regions early-out with no
-/// draw at all.
+/// draw at all. A thin wrapper over the classifier the static engine
+/// inlines into its strike loop (injector_batch.cpp).
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
                                    std::uint32_t slot, std::uint64_t origin,
                                    std::uint32_t flips);
 
-/// StrikeOutcome (as a raw value) of one deferred SEC-DED word pattern
-/// from its folded syndrome and data mask — the verdict
-/// classify_pattern reaches one word at a time. Callers max-merge it
-/// into the deferring strike's inline worst after a fold_syndromes
-/// pass over scratch.batch.fold_*.
-std::uint8_t decode_fold_outcome(std::uint8_t syndrome,
-                                 std::uint64_t data_mask);
+/// Sizes the per-slot arrays of `batch` to its width and empties the
+/// fold list; returns the width. Throws unless width >= 1. Call once per
+/// chunk, before the first block.
+std::uint32_t begin_blocks(CampaignScratch::Batch& batch);
+
+/// Stages 2 and 3 of one block of `block` strikes, shared by the static
+/// and temporal engines once stage 1 filled batch.region_of / origin /
+/// outcome (pre-ACE) / ace_keep and parked the deferred SEC-DED
+/// patterns in batch.fold_*: one fold_syndromes pass max-merged into
+/// the owning slots, the ACE keep applied as a multiply, the outcomes
+/// tallied into `partial` (strikes included), and — when `grid` is
+/// non-null — every strike recorded at its origin. Leaves the fold list
+/// empty for the next block. Draws nothing.
+void finish_block(CampaignScratch::Batch& batch, std::uint32_t block,
+                  CampaignResult& partial, SensitivityGrid* grid);
 
 }  // namespace detail
 }  // namespace ftspm

@@ -86,7 +86,6 @@ struct CampaignResult {
 };
 
 class SensitivityGrid;
-class CampaignObserver;
 
 /// Strikes per block of the batched campaign engine: generation,
 /// syndrome folding, and tallying each sweep arrays of this many
@@ -156,16 +155,18 @@ struct CampaignScratch {
   /// flips; cleared, not shrunk, so it allocates at most once.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> spill;
 
-  /// Structure-of-arrays workspace of the batched chunk engine. One
-  /// block of `width` strikes at a time, run_campaign_chunk fills the
+  /// Structure-of-arrays workspace of the batched chunk engines (the
+  /// static run_campaign_chunk and core's temporal campaign). One
+  /// block of `width` strikes at a time, the engine fills the
   /// per-strike arrays sequentially from the shard RNG (preserving the
-  /// documented draw order exactly), parks every >= 2-flip SEC-DED word
-  /// pattern in the fold_* arrays, resolves those with one batched
-  /// SecDedCodec::fold_syndromes call, then tallies the block. All
-  /// vectors are sized on first use and reused for the whole campaign.
+  /// documented draw order exactly), parks every >= 3-bit SEC-DED word
+  /// pattern in the fold_* arrays, and detail::finish_block resolves
+  /// those with one batched SecDedCodec::fold_syndromes call, then
+  /// tallies the block. All vectors are sized on first use and reused
+  /// for the whole campaign.
   struct Batch {
-    /// Block width. kCampaignBatchWidth for real campaigns; tests set
-    /// other values (down to 1) to pin width-invariance of results.
+    /// Block width, >= 1. kCampaignBatchWidth for real campaigns; tests
+    /// set other values (down to 1) to pin width-invariance of results.
     std::uint32_t width = kCampaignBatchWidth;
 
     /// Region constant table + total pick weight, rebuilt per chunk.
@@ -199,13 +200,6 @@ struct CampaignScratch {
     std::vector<std::uint8_t> fold_check;
     std::vector<std::uint32_t> fold_slot;
     std::vector<std::uint8_t> fold_syndrome;
-    /// Tight-mode side-cars, parallel to fold_data: the deferring
-    /// strike's inline worst outcome and its ACE keep flag, so the
-    /// post-fold tally can finish each strike without per-slot outcome
-    /// arrays (tight mode stores nothing per slot — see
-    /// run_campaign_chunk).
-    std::vector<std::uint8_t> fold_worst;
-    std::vector<std::uint8_t> fold_keep;
   };
   Batch batch;
 };
@@ -233,15 +227,13 @@ CampaignShardState begin_campaign_shard(std::uint64_t seed) noexcept;
 /// described by (regions, strikes, config), stopping early at
 /// config.strikes. The RNG stream is a pure function of the strike
 /// index, so chunking never changes results: any chunk-size schedule
-/// reaching config.strikes yields the same counters as one chunk. The
-/// observer (nullable) sees every strike's outcome; `grid` (nullable,
-/// must be active) accumulates per-(region, bucket) outcome counts off
-/// the hot path.
+/// reaching config.strikes yields the same counters as one chunk.
+/// `grid` (nullable, must be active) accumulates per-(region, bucket)
+/// outcome counts off the hot path.
 void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         const StrikeMultiplicityModel& strikes,
                         const CampaignConfig& config,
                         CampaignShardState& state, std::uint64_t max_strikes,
-                        CampaignObserver* observer = nullptr,
                         SensitivityGrid* grid = nullptr);
 
 /// Injects one m-bit adjacent upset starting at `first_bit` of a region

@@ -50,8 +50,6 @@
 
 namespace ftspm {
 
-class CampaignObserver;
-
 /// What the recovery pipeline does and what each repair costs. The DMA
 /// scalars mirror sim's DmaConfig/MainMemoryConfig defaults; core's
 /// make_recovery_policy() fills them from a SimConfig so campaigns book
@@ -193,21 +191,19 @@ class LiveArrayCampaign {
   /// Advances the shard by up to `max_strikes` strikes, stopping at
   /// config.strikes. Aim draws match the static campaign draw for
   /// draw; recovery draws happen strictly within a strike, so any
-  /// chunking schedule yields identical counters. The observer
-  /// (nullable) sees every strike's outcome; `grid` (nullable, see
-  /// fault/sensitivity.h) records each strike's origin and final
+  /// chunking schedule yields identical counters. `grid` (nullable,
+  /// see fault/sensitivity.h) records each strike's origin and final
   /// outcome without affecting results.
   ///
   /// This is the batched engine (recovery_batch.cpp): integer-domain
   /// aim draws over per-chunk region tables, XOR-mask flip scatter,
   /// demand decode and scrub sweeps through the batched ECC entry
-  /// points. Counters, images, grids, observer calls, and the RNG
+  /// points. Counters, images, grids, and the RNG
   /// stream are bit-identical to the strike-at-a-time reference loop
   /// (tests/support/campaign_oracles.h) — pinned by
   /// tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
-                 CampaignObserver* observer = nullptr,
                  SensitivityGrid* grid = nullptr) const;
 
   const std::vector<RecoveryRegion>& regions() const noexcept {

@@ -110,7 +110,8 @@ class SensitivityGrid {
 };
 
 /// Grid builders over the campaign region types. Labels default to
-/// "r<index>"; pass `labels` to override (size must match).
+/// "r<index>"; pass `labels` to override (size must match). `buckets`
+/// 0 yields an inactive grid — the sharded drivers' "no grid".
 SensitivityGrid make_sensitivity_grid(
     const std::vector<InjectionRegion>& regions, std::uint32_t buckets,
     const std::vector<std::string>& labels = {});

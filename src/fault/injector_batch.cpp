@@ -1,54 +1,54 @@
 // Batched structure-of-arrays campaign engine (run_campaign_chunk).
 //
-// The per-strike loop this replaces (PR 4's syndrome kernel driving one
-// strike at a time) spent most of its cycles on per-strike call and
-// branch overhead: re-validated weight tables, hardware divides for the
-// aim arithmetic, a generic per-word classify call, and observer/grid
-// virtual-ish hops for every strike. This engine processes strikes in
-// blocks of CampaignScratch::Batch::width:
+// A strike-at-a-time loop spends most of its cycles on per-strike call
+// and branch overhead: re-validated weight tables, hardware divides for
+// the aim arithmetic, a generic per-word classify call. This engine
+// processes strikes in blocks of CampaignScratch::Batch::width, with
+// one strike loop for every region mix, grid or no grid:
 //
 //  stage 1 — sequential generation + LUT classification. Each slot
 //      draws its region, origin, and flip count from the shard RNG in
 //      EXACTLY the documented per-strike order (docs/performance.md),
-//      aims the flips with precomputed magic-multiply dividers, and
-//      classifies via the 8-entry (min(popcount, 3), parity) region
-//      LUT. A single-group strike flips a contiguous run of bits, so
-//      its pattern weight IS the run length: the common case needs no
-//      mask materialization, no popcount — one table byte indexed by
-//      the group length. Masks are built only for the ~2% of SEC-DED
-//      patterns parked in the fold arrays, and for the rare shapes
-//      handled out of line (codeword straddles, interleaved aim,
-//      exotic check-bit geometries). The ACE-occupancy draw also
-//      happens here, keeping the stream position exact; a fast-path
-//      strike is never Masked pre-ACE (>= 1 surviving bit always
-//      corrupts or trips a check, and deferred patterns can never fold
-//      clean), so the draw predicate needs no classify result.
-//  stage 2 — batched syndrome fold. One SecDedCodec::fold_syndromes
-//      call resolves every deferred pattern of the block, and the
-//      256-entry syndrome LUT merges each word's outcome back into its
-//      strike.
-//  stage 3 — ACE filtering, bulk counter tally, and the observer /
-//      sensitivity-grid sweeps.
+//      then classify_strike_block aims the flips with precomputed
+//      magic-multiply dividers, classifies via the 8-entry
+//      (min(popcount, 3), parity) region LUT, and takes the region's
+//      ACE-occupancy draw in stream position. A single-group strike
+//      flips a contiguous run of bits, so its pattern weight IS the run
+//      length: the common case needs no mask materialization, no
+//      popcount — one table byte indexed by the group length. Masks are
+//      built only for the ~2% of SEC-DED patterns parked in the fold
+//      arrays, and for the rare shapes handled out of line (codeword
+//      straddles, interleaved aim, exotic check-bit geometries). A
+//      fast-path strike is never Masked pre-ACE (>= 1 surviving bit
+//      always corrupts or trips a check, and deferred patterns can
+//      never fold clean), so the draw predicate needs no classify
+//      result.
+//  stages 2 and 3 — detail::finish_block, shared with the temporal
+//      engine: one SecDedCodec::fold_syndromes call resolves every
+//      deferred pattern of the block through the 256-entry syndrome
+//      LUT, then the ACE keep applies as a multiply, the block tallies
+//      into register counters, and the sensitivity grid (if any)
+//      records each strike.
 //
-// When nothing consumes per-strike state — observer inactive, no
-// sensitivity grid — the chunk runs in TIGHT mode: outcomes tally
-// straight into register counters inside stage 1 and the per-slot SoA
-// stores disappear entirely; deferred strikes carry their inline worst
-// and ACE keep alongside the fold entries so the post-fold tally can
-// finish them without slot arrays. Both modes draw and count
-// identically; tight mode just skips materializing state nobody reads.
+// Two rules keep this one loop as fast as a register-only tally loop
+// (docs/performance.md, "One strike loop"): classify_strike_block is
+// forced inline into the strike loop, and its out-of-line paths draw
+// from a copy of the generator, so the loop's own generator never has
+// its address taken and stays in registers. The temporal engine
+// reaches the same classifier through the exported
+// detail::classify_batch_strike wrapper.
 //
 // The draw-domain primitives (integer-image Bernoulli/discrete picks,
 // flip cutoffs, the region table build) live in
 // ftspm/fault/batch_engine.h and are shared with the batched recovery
-// and temporal engines (recovery_batch.cpp, system_campaign.cpp); the
-// non-trivial ones are defined at the bottom of this file.
+// and temporal engines (recovery_batch.cpp, system_campaign_batch.cpp);
+// the non-trivial ones are defined at the bottom of this file.
 //
-// Equivalence contract: identical counters, grids, observer calls, and
-// RNG stream position to the old per-strike loop for every
-// (regions, strikes, config, chunking) — pinned by
-// tests/fault/batch_engine_test.cpp against classify_strike and by
-// tests/integration/campaign_golden_test.cpp end to end.
+// Equivalence contract: identical counters, grids, and RNG stream
+// position to the per-strike loop for every (regions, strikes, config,
+// chunking, block width) — pinned by tests/fault/batch_engine_test.cpp
+// against classify_strike and end to end by the CampaignGolden suite
+// (tests/integration/campaign_golden_test.cpp).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -57,7 +57,6 @@
 
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/bitops.h"
@@ -344,6 +343,68 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
   return worst;
 }
 
+/// One strike's pre-ACE worst outcome plus its ACE keep flag, drawn in
+/// stream position after the classify burns. Deferred words ride the
+/// fold arrays under `slot` (inline worst 0). Forced inline: the static
+/// strike loop's speed depends on it (see the file comment).
+[[gnu::always_inline]] inline std::uint8_t classify_strike_block(
+    const BatchRegionInfo& R, Rng& rng, CampaignScratch& scratch,
+    std::uint32_t slot, std::uint64_t origin, std::uint32_t flips,
+    std::uint8_t& keep) {
+  if (R.protection == ProtectionKind::Immune) {
+    // classify_strike early-outs before any word draw, and a Masked
+    // outcome takes no ACE draw.
+    keep = 1;
+    return static_cast<std::uint8_t>(StrikeOutcome::Masked);
+  }
+  if (R.fast) [[likely]] {
+    CampaignScratch::Batch& batch = scratch.batch;
+    const std::uint32_t cw = R.codeword_bits;
+    const std::uint64_t m =
+        std::min<std::uint64_t>(flips, R.physical_bits - origin);
+    const std::uint64_t word = R.div_codeword.divide(origin);
+    const auto bit = static_cast<std::uint32_t>(origin - word * cw);
+    std::uint8_t worst;
+    if (bit + m <= cw) [[likely]] {
+      // One burned draw for the single struck codeword (the RNG
+      // contract), then the LUT byte — the group is a contiguous run
+      // of m bits, so its pattern weight is m and no mask ever
+      // materializes unless the verdict defers.
+      (void)rng.next_u64();
+      const auto b = static_cast<std::uint32_t>(m);
+      worst = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
+      if (worst == kDeferClass) [[unlikely]] {
+        const GroupMasks gm = group_masks(bit, bit + b);
+        batch.fold_data.push_back(gm.data);
+        batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
+        batch.fold_slot.push_back(slot);
+        worst = 0;
+      }
+    } else {
+      // The out-of-line paths draw from a copy: the strike loop's own
+      // generator must never have its address taken, or it cannot stay
+      // in registers across the per-slot byte stores.
+      Rng out_of_line = rng;
+      worst = classify_straddle_strike(R, out_of_line, batch, slot, bit, m);
+      rng = out_of_line;
+    }
+    // The ACE draw, unconditional for fast strikes (never Masked
+    // pre-ACE): next_bool's three arms resolved at table build — modes
+    // 0 / 1 skip the draw, mode 2 compares one draw in the draw-bits
+    // domain.
+    if (R.ace_mode == 2)
+      keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
+    else
+      keep = R.ace_mode;
+    return worst;
+  }
+  Rng out_of_line = rng;
+  const std::uint8_t worst = classify_general_strike(
+      R, out_of_line, scratch, slot, origin, flips, keep);
+  rng = out_of_line;
+  return worst;
+}
+
 }  // namespace
 
 namespace detail {
@@ -459,45 +520,79 @@ FlipCutoffs make_flip_cutoffs(const StrikeMultiplicityModel& strikes,
   return cuts;
 }
 
-std::uint8_t decode_fold_outcome(std::uint8_t syndrome,
-                                 std::uint64_t data_mask) {
-  return ftspm::decode_fold_outcome(SecDedCodec::syndrome_table()[syndrome],
-                                    data_mask);
-}
-
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
                                    std::uint32_t slot, std::uint64_t origin,
                                    std::uint32_t flips) {
-  if (R.protection == ProtectionKind::Immune)
-    return static_cast<std::uint8_t>(StrikeOutcome::Masked);
-  CampaignScratch::Batch& batch = scratch.batch;
-  if (R.fast) [[likely]] {
-    const std::uint32_t cw = R.codeword_bits;
-    const std::uint64_t m =
-        std::min<std::uint64_t>(flips, R.physical_bits - origin);
-    const std::uint64_t word = R.div_codeword.divide(origin);
-    const auto bit = static_cast<std::uint32_t>(origin - word * cw);
-    if (bit + m <= cw) [[likely]] {
-      (void)rng.next_u64();
-      const auto b = static_cast<std::uint32_t>(m);
-      const std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-      if (cls == kDeferClass) [[unlikely]] {
-        const GroupMasks gm = group_masks(bit, bit + b);
-        batch.fold_data.push_back(gm.data);
-        batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-        batch.fold_slot.push_back(slot);
-        return 0;
-      }
-      return cls;
+  // ace_occupancy is 1.0 by contract, so the ACE draw is a no-draw arm
+  // and the keep flag is always 1.
+  std::uint8_t keep = 1;
+  return classify_strike_block(R, rng, scratch, slot, origin, flips, keep);
+}
+
+std::uint32_t begin_blocks(CampaignScratch::Batch& batch) {
+  const std::uint32_t width = batch.width;
+  FTSPM_REQUIRE(width >= 1, "batch width must be >= 1");
+  batch.region_of.resize(width);
+  batch.origin.resize(width);
+  batch.outcome.resize(width);
+  batch.ace_keep.resize(width);
+  batch.fold_data.clear();
+  batch.fold_check.clear();
+  batch.fold_slot.clear();
+  return width;
+}
+
+void finish_block(CampaignScratch::Batch& batch, std::uint32_t block,
+                  CampaignResult& partial, SensitivityGrid* grid) {
+  std::uint8_t* const outcome_of = batch.outcome.data();
+  const std::uint8_t* const ace_keep_of = batch.ace_keep.data();
+
+  // ---- Stage 2: batched syndrome fold of the deferred patterns,
+  // max-merged into the owning slots.
+  if (!batch.fold_data.empty()) {
+    const std::size_t n = batch.fold_data.size();
+    batch.fold_syndrome.resize(n);
+    SecDedCodec::fold_syndromes(batch.fold_data.data(),
+                                batch.fold_check.data(), n,
+                                batch.fold_syndrome.data());
+    const auto& table = SecDedCodec::syndrome_table();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint8_t w = decode_fold_outcome(
+          table[batch.fold_syndrome[k]], batch.fold_data[k]);
+      std::uint8_t& slot_outcome = outcome_of[batch.fold_slot[k]];
+      slot_outcome = std::max(slot_outcome, w);
     }
-    return classify_straddle_strike(R, rng, batch, slot, bit, m);
+    batch.fold_data.clear();
+    batch.fold_check.clear();
+    batch.fold_slot.clear();
   }
-  // ace_occupancy is 1.0 by contract, so the internal ACE draw is the
-  // no-draw arm and the out-param is discarded.
-  std::uint8_t ace_unused = 1;
-  return classify_general_strike(R, rng, scratch, slot, origin, flips,
-                                 ace_unused);
+
+  // ---- Stage 3: ACE filter, bulk tally, grid sweep. The filter is a
+  // multiply (keep is 0/1 and Masked is 0) and the tally runs on
+  // register counters — no data-dependent branches, no store-forward
+  // chain through a memory histogram.
+  std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
+  for (std::uint32_t slot = 0; slot < block; ++slot) {
+    const auto o =
+        static_cast<std::uint8_t>(outcome_of[slot] * ace_keep_of[slot]);
+    outcome_of[slot] = o;
+    n_masked += o == 0;
+    n_dre += o == 1;
+    n_due += o == 2;
+    n_sdc += o == 3;
+  }
+  partial.strikes += block;
+  partial.masked += n_masked;
+  partial.dre += n_dre;
+  partial.due += n_due;
+  partial.sdc += n_sdc;
+
+  if (grid != nullptr) {
+    for (std::uint32_t slot = 0; slot < block; ++slot)
+      grid->record(batch.region_of[slot], batch.origin[slot],
+                   static_cast<StrikeOutcome>(outcome_of[slot]));
+  }
 }
 
 }  // namespace detail
@@ -506,10 +601,10 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         const StrikeMultiplicityModel& strikes,
                         const CampaignConfig& config,
                         CampaignShardState& state, std::uint64_t max_strikes,
-                        CampaignObserver* observer, SensitivityGrid* grid) {
+                        SensitivityGrid* grid) {
   FTSPM_REQUIRE(!regions.empty(), "campaign needs at least one region");
   CampaignScratch::Batch& batch = state.scratch.batch;
-  FTSPM_REQUIRE(batch.width >= 1, "batch width must be >= 1");
+  const std::uint32_t width = detail::begin_blocks(batch);
 
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
@@ -519,22 +614,10 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   }
 
   detail::build_region_table(regions, batch);
-
   // Flip-count cutoffs in the draw-bits domain (see make_flip_cutoffs
   // for the exactness argument).
   const detail::FlipCutoffs cuts =
       detail::make_flip_cutoffs(strikes, config.max_flips);
-  const std::uint64_t flips_b1 = cuts.b1;
-  const std::uint64_t flips_b2 = cuts.b2;
-  const std::uint64_t flips_b3 = cuts.b3;
-  // next_bool(0.5) of the >3-bit tail: u < 0.5 <=> draw bits < 2^52.
-  constexpr std::uint64_t kHalfBits = std::uint64_t{1} << 52;
-
-  const std::uint32_t width = batch.width;
-  batch.region_of.resize(width);
-  batch.origin.resize(width);
-  batch.outcome.resize(width);
-  batch.ace_keep.resize(width);
 
   // Hot-loop locals. The generator runs as a stack copy (written back
   // once per chunk) and the SoA arrays as raw pointers: the outcome /
@@ -551,290 +634,23 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   std::uint8_t* const outcome_of = batch.outcome.data();
   std::uint8_t* const ace_keep_of = batch.ace_keep.data();
 
-  // Nothing reads per-strike state? Then tally outcomes straight into
-  // registers and skip every per-slot store (see the header comment).
-  const bool tight =
-      (observer == nullptr || !observer->active()) && grid == nullptr;
-
-  if (tight) {
-    std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
-    for (std::uint64_t base = state.done; base < end; base += width) {
-      const auto block = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(width, end - base));
-      batch.fold_data.clear();
-      batch.fold_check.clear();
-      batch.fold_slot.clear();
-      batch.fold_worst.clear();
-      batch.fold_keep.clear();
-
-      for (std::uint32_t slot = 0; slot < block; ++slot) {
-        const std::size_t ri =
-            pick_region(rng, pick_breaks, region_count, pick_fallback);
-        const BatchRegionInfo& R = region_table[ri];
-        const std::uint64_t origin = rng.next_below(R.physical_bits);
-
-        // Flip multiplicity (sample_flips inlined draw for draw, in
-        // the draw-bits domain): the if-chain `u < c1 -> 1, ...` with
-        // the branches folded into flag adds — exact because the
-        // cutoffs are monotone (checked at build); only the rare
-        // >3-bit tail still loops, one next_u64 per coin flip exactly
-        // as next_bool(0.5) draws.
-        const std::uint64_t ub = rng.next_u64() >> 11;
-        std::uint32_t flips = 1 + static_cast<std::uint32_t>(ub >= flips_b1) +
-                              static_cast<std::uint32_t>(ub >= flips_b2) +
-                              static_cast<std::uint32_t>(ub >= flips_b3);
-        if (flips == 4)
-          while (flips < config.max_flips &&
-                 (rng.next_u64() >> 11) < kHalfBits)
-            ++flips;
-
-        if (R.protection == ProtectionKind::Immune) {
-          // classify_strike early-outs before any word draw, and the
-          // old loop skipped the ACE draw for Masked outcomes.
-          ++n_masked;
-          continue;
-        }
-
-        if (R.fast) [[likely]] {
-          const std::uint32_t cw = R.codeword_bits;
-          const std::uint64_t m =
-              std::min<std::uint64_t>(flips, R.physical_bits - origin);
-          const std::uint64_t word = R.div_codeword.divide(origin);
-          const auto bit = static_cast<std::uint32_t>(origin - word * cw);
-          if (bit + m <= cw) [[likely]] {
-            // One burned draw for the single struck codeword (the RNG
-            // contract), then the LUT byte — the group is a contiguous
-            // run of m bits, so its pattern weight is m and no mask
-            // ever materializes unless the verdict defers.
-            (void)rng.next_u64();
-            const auto b = static_cast<std::uint32_t>(m);
-            const std::uint8_t cls =
-                R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-            // next_bool's three arms, resolved per region at table
-            // build: 0 / 1 skip the draw, 2 consumes exactly one draw
-            // compared in the draw-bits domain. Unconditional for fast
-            // strikes — never Masked pre-ACE.
-            std::uint8_t keep;
-            if (R.ace_mode == 2)
-              keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-            else
-              keep = R.ace_mode;
-            if (cls == kDeferClass) [[unlikely]] {
-              const GroupMasks gm = group_masks(bit, bit + b);
-              batch.fold_data.push_back(gm.data);
-              batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-              batch.fold_slot.push_back(slot);
-              batch.fold_worst.push_back(0);
-              batch.fold_keep.push_back(keep);
-              continue;
-            }
-            const std::uint8_t o = static_cast<std::uint8_t>(cls * keep);
-            n_masked += o == 0;
-            n_dre += o == 1;
-            n_due += o == 2;
-            n_sdc += o == 3;
-            continue;
-          }
-          // Straddles codeword boundaries — rare, classified out of
-          // line; its fold entries (if any) carry worst and keep.
-          const std::size_t before = batch.fold_data.size();
-          const std::uint8_t worst =
-              classify_straddle_strike(R, rng, batch, slot, bit, m);
-          std::uint8_t keep;
-          if (R.ace_mode == 2)
-            keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-          else
-            keep = R.ace_mode;
-          const std::size_t after = batch.fold_data.size();
-          if (after != before) {
-            batch.fold_worst.resize(after);
-            batch.fold_keep.resize(after);
-            for (std::size_t k = before; k < after; ++k) {
-              batch.fold_worst[k] = worst;
-              batch.fold_keep[k] = keep;
-            }
-            continue;
-          }
-          const std::uint8_t o = static_cast<std::uint8_t>(worst * keep);
-          n_masked += o == 0;
-          n_dre += o == 1;
-          n_due += o == 2;
-          n_sdc += o == 3;
-          continue;
-        }
-
-        const std::size_t before = batch.fold_data.size();
-        std::uint8_t keep = 1;
-        const std::uint8_t worst = classify_general_strike(
-            R, rng, state.scratch, slot, origin, flips, keep);
-        const std::size_t after = batch.fold_data.size();
-        if (after != before) {
-          batch.fold_worst.resize(after);
-          batch.fold_keep.resize(after);
-          for (std::size_t k = before; k < after; ++k) {
-            batch.fold_worst[k] = worst;
-            batch.fold_keep[k] = keep;
-          }
-          continue;
-        }
-        const std::uint8_t o = static_cast<std::uint8_t>(worst * keep);
-        n_masked += o == 0;
-        n_dre += o == 1;
-        n_due += o == 2;
-        n_sdc += o == 3;
-      }
-
-      // Batched syndrome fold, then finish each deferring strike: its
-      // entries are consecutive (pushed while its slot was current),
-      // so one grouped sweep max-merges fold verdicts with the carried
-      // inline worst and applies the carried ACE keep.
-      if (!batch.fold_data.empty()) {
-        const std::size_t n = batch.fold_data.size();
-        batch.fold_syndrome.resize(n);
-        SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                    batch.fold_check.data(), n,
-                                    batch.fold_syndrome.data());
-        const auto& table = SecDedCodec::syndrome_table();
-        std::size_t k = 0;
-        while (k < n) {
-          const std::uint32_t slot = batch.fold_slot[k];
-          std::uint8_t w = batch.fold_worst[k];
-          const std::uint8_t keep = batch.fold_keep[k];
-          do {
-            w = std::max(w, decode_fold_outcome(table[batch.fold_syndrome[k]],
-                                                batch.fold_data[k]));
-            ++k;
-          } while (k < n && batch.fold_slot[k] == slot);
-          const std::uint8_t o = static_cast<std::uint8_t>(w * keep);
-          n_masked += o == 0;
-          n_dre += o == 1;
-          n_due += o == 2;
-          n_sdc += o == 3;
-        }
-      }
-      state.partial.strikes += block;
-      state.done = base + block;
-    }
-    state.partial.masked += n_masked;
-    state.partial.dre += n_dre;
-    state.partial.due += n_due;
-    state.partial.sdc += n_sdc;
-    state.rng = rng;
-    state.done = end;
-    return;
-  }
-
   for (std::uint64_t base = state.done; base < end; base += width) {
     const auto block =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(width, end - base));
-    batch.fold_data.clear();
-    batch.fold_check.clear();
-    batch.fold_slot.clear();
-
-    // ---- Stage 1: sequential generation + LUT classification.
+    // ---- Stage 1: sequential generation + classification.
     for (std::uint32_t slot = 0; slot < block; ++slot) {
       const std::size_t ri =
           pick_region(rng, pick_breaks, region_count, pick_fallback);
       const BatchRegionInfo& R = region_table[ri];
       const std::uint64_t origin = rng.next_below(R.physical_bits);
+      const std::uint32_t flips =
+          detail::sample_flips_draw(rng, cuts, config.max_flips);
       region_of[slot] = static_cast<std::uint32_t>(ri);
       origin_of[slot] = origin;
-
-      const std::uint64_t ub = rng.next_u64() >> 11;
-      std::uint32_t flips = 1 + static_cast<std::uint32_t>(ub >= flips_b1) +
-                            static_cast<std::uint32_t>(ub >= flips_b2) +
-                            static_cast<std::uint32_t>(ub >= flips_b3);
-      if (flips == 4)
-        while (flips < config.max_flips && (rng.next_u64() >> 11) < kHalfBits)
-          ++flips;
-
-      if (R.protection == ProtectionKind::Immune) {
-        outcome_of[slot] = static_cast<std::uint8_t>(StrikeOutcome::Masked);
-        ace_keep_of[slot] = 1;
-        continue;
-      }
-
-      if (R.fast) [[likely]] {
-        const std::uint32_t cw = R.codeword_bits;
-        const std::uint64_t m =
-            std::min<std::uint64_t>(flips, R.physical_bits - origin);
-        const std::uint64_t word = R.div_codeword.divide(origin);
-        const auto bit = static_cast<std::uint32_t>(origin - word * cw);
-        std::uint8_t worst;
-        if (bit + m <= cw) [[likely]] {
-          (void)rng.next_u64();
-          const auto b = static_cast<std::uint32_t>(m);
-          const std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-          if (cls == kDeferClass) [[unlikely]] {
-            const GroupMasks gm = group_masks(bit, bit + b);
-            batch.fold_data.push_back(gm.data);
-            batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-            batch.fold_slot.push_back(slot);
-            worst = 0;
-          } else {
-            worst = cls;
-          }
-        } else {
-          worst = classify_straddle_strike(R, rng, batch, slot, bit, m);
-        }
-        outcome_of[slot] = worst;
-        if (R.ace_mode == 2)
-          ace_keep_of[slot] = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-        else
-          ace_keep_of[slot] = R.ace_mode;
-        continue;
-      }
-
-      outcome_of[slot] = classify_general_strike(
-          R, rng, state.scratch, slot, origin, flips, ace_keep_of[slot]);
+      outcome_of[slot] = classify_strike_block(R, rng, state.scratch, slot,
+                                               origin, flips, ace_keep_of[slot]);
     }
-
-    // ---- Stage 2: batched syndrome fold of the deferred patterns.
-    if (!batch.fold_data.empty()) {
-      const std::size_t n = batch.fold_data.size();
-      batch.fold_syndrome.resize(n);
-      SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                  batch.fold_check.data(), n,
-                                  batch.fold_syndrome.data());
-      const auto& table = SecDedCodec::syndrome_table();
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::uint8_t w = decode_fold_outcome(
-            table[batch.fold_syndrome[k]], batch.fold_data[k]);
-        std::uint8_t& slot_outcome = outcome_of[batch.fold_slot[k]];
-        slot_outcome = std::max(slot_outcome, w);
-      }
-    }
-
-    // ---- Stage 3: ACE filter, bulk tally, observability sweeps. The
-    // filter is a multiply (keep is 0/1 and Masked is 0) and the tally
-    // runs on register counters — no data-dependent branches, no
-    // store-forward chain through a memory histogram.
-    std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      const std::uint8_t o =
-          static_cast<std::uint8_t>(outcome_of[slot] * ace_keep_of[slot]);
-      outcome_of[slot] = o;
-      n_masked += o == 0;
-      n_dre += o == 1;
-      n_due += o == 2;
-      n_sdc += o == 3;
-    }
-    state.partial.masked += n_masked;
-    state.partial.dre += n_dre;
-    state.partial.due += n_due;
-    state.partial.sdc += n_sdc;
-    state.partial.strikes += block;
-
-    if (observer != nullptr && observer->active()) {
-      for (std::uint32_t slot = 0; slot < block; ++slot)
-        observer->on_strike(static_cast<StrikeOutcome>(outcome_of[slot]));
-    }
-    if (grid != nullptr) {
-      for (std::uint32_t slot = 0; slot < block; ++slot)
-        grid->record(region_of[slot], origin_of[slot],
-                     static_cast<StrikeOutcome>(outcome_of[slot]));
-    }
-    state.done = base + block;
+    detail::finish_block(batch, block, state.partial, grid);
   }
   state.rng = rng;
   state.done = end;

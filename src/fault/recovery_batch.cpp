@@ -22,12 +22,12 @@
 //    through an auto-vectorized compare, and only set bits are gathered
 //    for the batched classify.
 //
-// Equivalence contract: counters, images, grids, observer calls, and
-// the RNG stream match the reference loop bit for bit, for every
-// chunk schedule. The draw schedule per strike is pick, origin,
-// multiplicity, then per struck word (ascending) one ACE Bernoulli,
-// then (only inside a detected-uncorrectable repair) one dirty-
-// fraction Bernoulli; classification itself never draws. Precomputing
+// Equivalence contract: counters, images, grids, and the RNG stream
+// match the reference loop bit for bit, for every chunk schedule. The
+// draw schedule per strike is pick, origin, multiplicity, then per
+// struck word (ascending) one ACE Bernoulli, then (only inside a
+// detected-uncorrectable repair) one dirty-fraction Bernoulli;
+// classification itself never draws. Precomputing
 // every touched word's error pattern before the ACE walk is safe
 // because resolving word w only ever rewrites word w. The floating-
 // point energy accumulator sees the same additions in the same order
@@ -42,7 +42,6 @@
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/bitops.h"
@@ -327,7 +326,6 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
                                   CampaignShardState& core,
                                   RecoveryShardSide& side,
                                   std::uint64_t max_strikes,
-                                  CampaignObserver* observer,
                                   SensitivityGrid* grid) const {
   FTSPM_REQUIRE(side.initialized,
                 "ensure_shard_images must run before run_chunk");
@@ -348,10 +346,6 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     core.done = end;
     return;
   }
-
-  // An inert observer's on_strike is a no-op per strike; skip the calls
-  // outright (same block-level check the static batch engine makes).
-  if (observer != nullptr && !observer->active()) observer = nullptr;
 
   // Process-wide, once: prove the distance-4 popcount shortcuts the
   // demand walk takes against the real decoder before relying on them.
@@ -619,7 +613,6 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     }
 
     ++tallies[static_cast<std::size_t>(outcome)];
-    if (observer != nullptr) observer->on_strike(outcome);
     if (grid != nullptr) grid->record(ri, origin, outcome);
 
     if (interval != 0 && --until_scrub == 0) {

@@ -253,6 +253,7 @@ std::vector<SensitivityGrid::RegionSpec> make_specs(
 SensitivityGrid make_sensitivity_grid(
     const std::vector<InjectionRegion>& regions, std::uint32_t buckets,
     const std::vector<std::string>& labels) {
+  if (buckets == 0) return SensitivityGrid();
   return SensitivityGrid(
       make_specs(regions.size(), labels,
                  [&](std::size_t i) {
@@ -266,6 +267,7 @@ SensitivityGrid make_sensitivity_grid(
 SensitivityGrid make_sensitivity_grid(
     const std::vector<RecoveryRegion>& regions, std::uint32_t buckets,
     const std::vector<std::string>& labels) {
+  if (buckets == 0) return SensitivityGrid();
   return SensitivityGrid(
       make_specs(regions.size(), labels,
                  [&](std::size_t i) {

@@ -155,7 +155,7 @@ TEST(ParallelTemporalCampaignTest, SensitivityGridIsJobsInvariant) {
   SensitivityGrid serial = make_sensitivity_grid(campaign.surfaces(), 24);
   CampaignShardState state =
       begin_campaign_shard(cfg.seed ^ TemporalCampaign::kSeedSalt);
-  campaign.run_chunk(cfg, state, cfg.strikes, nullptr, &serial);
+  campaign.run_chunk(cfg, state, cfg.strikes, &serial);
 
   std::string first;
   for (std::uint32_t jobs : {1u, 4u}) {

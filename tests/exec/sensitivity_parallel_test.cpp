@@ -87,8 +87,7 @@ TEST(SensitivityParallelTest, OneShardGridMatchesSerialRecording) {
   // this thread, into one grid.
   SensitivityGrid serial = make_sensitivity_grid(surfaces(), 32);
   CampaignShardState state = begin_campaign_shard(cfg.seed);
-  run_campaign_chunk(surfaces(), model(), cfg, state, cfg.strikes, nullptr,
-                     &serial);
+  run_campaign_chunk(surfaces(), model(), cfg, state, cfg.strikes, &serial);
 
   ExecConfig exec;
   exec.jobs = 2;

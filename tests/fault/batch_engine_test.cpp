@@ -3,9 +3,12 @@
 // order (docs/performance.md, "RNG draw-order contract") through the
 // classify_strike oracle. The engine reorders *work* — region tables,
 // LUT classification, deferred syndrome folds — but never *draws*, so
-// every schedule below must reproduce the reference counters exactly:
-// any block width, any chunk schedule, tight (no observer, no grid)
-// and observed paths alike.
+// every schedule below must reproduce the reference counters and leave
+// the generator at the reference's stream position: any block width,
+// any chunk schedule, with or without a sensitivity grid. The stream
+// position is probed directly (one next_u64 after the run), so a loop
+// that burns or skips a single draw fails at once rather than through
+// counter drift.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/geometry.h"
 #include "ftspm/mem/technology_library.h"
+#include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 #include "ftspm/workload/case_study.h"
 #include "support/campaign_oracles.h"
@@ -27,14 +31,20 @@
 namespace ftspm {
 namespace {
 
+/// Counters plus the generator's next draw after the campaign.
+struct StaticRun {
+  CampaignResult strikes;
+  std::uint64_t rng_probe = 0;
+};
+
 /// One strike at a time, drawing exactly what docs/performance.md
 /// promises: region pick, origin, multiplicity (with its coin-flip
 /// tail), one burn per struck codeword inside classify_strike, then
 /// the ACE draw iff the pre-ACE outcome was not Masked.
-CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
-                                  const StrikeMultiplicityModel& model,
-                                  const CampaignConfig& cfg,
-                                  SensitivityGrid* grid = nullptr) {
+StaticRun reference_campaign(const std::vector<InjectionRegion>& regions,
+                             const StrikeMultiplicityModel& model,
+                             const CampaignConfig& cfg,
+                             SensitivityGrid* grid = nullptr) {
   std::vector<double> weights;
   weights.reserve(regions.size());
   for (const InjectionRegion& r : regions)
@@ -60,26 +70,59 @@ CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
     }
     if (grid != nullptr) grid->record(idx, origin, o);
   }
-  return res;
+  return StaticRun{res, rng.next_u64()};
 }
 
-/// The batched engine over the whole campaign in one chunk.
-CampaignResult engine_campaign(const std::vector<InjectionRegion>& regions,
-                               const StrikeMultiplicityModel& model,
-                               const CampaignConfig& cfg,
-                               SensitivityGrid* grid = nullptr) {
+/// The batched engine over `schedule` (chunk sizes) at block `width`.
+StaticRun engine_campaign(const std::vector<InjectionRegion>& regions,
+                          const StrikeMultiplicityModel& model,
+                          const CampaignConfig& cfg,
+                          std::uint32_t width = kCampaignBatchWidth,
+                          SensitivityGrid* grid = nullptr,
+                          std::vector<std::uint64_t> schedule = {}) {
+  if (schedule.empty()) schedule.push_back(cfg.strikes);
   CampaignShardState state = begin_campaign_shard(cfg.seed);
-  run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr, grid);
-  return state.partial;
+  state.scratch.batch.width = width;
+  for (const std::uint64_t step : schedule)
+    run_campaign_chunk(regions, model, cfg, state, step, grid);
+  return StaticRun{state.partial, state.rng.next_u64()};
 }
 
 void expect_equal(const CampaignResult& got, const CampaignResult& want,
-                  const char* what) {
+                  const std::string& what) {
   EXPECT_EQ(got.strikes, want.strikes) << what;
   EXPECT_EQ(got.masked, want.masked) << what;
   EXPECT_EQ(got.dre, want.dre) << what;
   EXPECT_EQ(got.due, want.due) << what;
   EXPECT_EQ(got.sdc, want.sdc) << what;
+}
+
+void expect_same_run(const StaticRun& got, const StaticRun& want,
+                     const std::string& what) {
+  expect_equal(got.strikes, want.strikes, what);
+  EXPECT_EQ(got.rng_probe, want.rng_probe) << what << " (RNG diverged)";
+}
+
+/// The engine at widths 1 (strike at a time), 33 (a ragged tail in
+/// every block of deferred folds) and 256 (production), each with and
+/// without a grid, against one reference run: same counters, same
+/// stream position.
+void expect_matches_reference(const std::vector<InjectionRegion>& regions,
+                              const StrikeMultiplicityModel& model,
+                              const CampaignConfig& cfg,
+                              const std::string& what) {
+  const StaticRun want = reference_campaign(regions, model, cfg);
+  for (const std::uint32_t width : {1u, 33u, 256u}) {
+    for (const bool gridded : {false, true}) {
+      SensitivityGrid grid = make_sensitivity_grid(regions, 16);
+      expect_same_run(
+          engine_campaign(regions, model, cfg, width,
+                          gridded ? &grid : nullptr),
+          want,
+          what + " width " + std::to_string(width) +
+              (gridded ? " gridded" : ""));
+    }
+  }
 }
 
 CampaignConfig config_for(std::uint64_t seed, std::uint64_t strikes) {
@@ -98,11 +141,9 @@ std::vector<InjectionRegion> mixed_surfaces() {
 
 TEST(BatchEngine, MatchesReferenceOnMixedSurfaces) {
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
-    const CampaignConfig cfg = config_for(seed, 50'000);
-    expect_equal(engine_campaign(mixed_surfaces(), model, cfg),
-                 reference_campaign(mixed_surfaces(), model, cfg), "mixed");
-  }
+  for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL})
+    expect_matches_reference(mixed_surfaces(), model,
+                             config_for(seed, 50'000), "mixed");
 }
 
 TEST(BatchEngine, MatchesReferenceUnderInterleaving) {
@@ -114,9 +155,8 @@ TEST(BatchEngine, MatchesReferenceUnderInterleaving) {
       {RegionGeometry(4096, 8), ProtectionKind::SecDed, 1.0, 2},
       {RegionGeometry(4096, 8), ProtectionKind::SecDed, 0.6, 4},
       {RegionGeometry(4096, 1), ProtectionKind::Parity, 0.8, 2}};
-  const CampaignConfig cfg = config_for(0xabcdef01, 30'000);
-  expect_equal(engine_campaign(regions, model, cfg),
-               reference_campaign(regions, model, cfg), "interleaved");
+  expect_matches_reference(regions, model, config_for(0xabcdef01, 30'000),
+                           "interleaved");
 }
 
 TEST(BatchEngine, MatchesReferenceOnExoticGeometries) {
@@ -127,9 +167,8 @@ TEST(BatchEngine, MatchesReferenceOnExoticGeometries) {
   const std::vector<InjectionRegion> regions{
       {RegionGeometry(1024, 2), ProtectionKind::Parity, 0.9, 1},
       {RegionGeometry(1024, 8), ProtectionKind::SecDed, 0.5, 1}};
-  const CampaignConfig cfg = config_for(0x600dcafe, 30'000);
-  expect_equal(engine_campaign(regions, model, cfg),
-               reference_campaign(regions, model, cfg), "exotic");
+  expect_matches_reference(regions, model, config_for(0x600dcafe, 30'000),
+                           "exotic");
 }
 
 TEST(BatchEngine, MatchesReferenceWithSpillSizedStrikes) {
@@ -141,8 +180,7 @@ TEST(BatchEngine, MatchesReferenceWithSpillSizedStrikes) {
   const std::vector<InjectionRegion> regions{
       {RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.75, 1},
       {RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.75, 3}};
-  expect_equal(engine_campaign(regions, model, cfg),
-               reference_campaign(regions, model, cfg), "spill");
+  expect_matches_reference(regions, model, cfg, "spill");
 }
 
 TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
@@ -154,25 +192,22 @@ TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
       {RegionGeometry(4096, 8), ProtectionKind::SecDed, 0.0, 1},
       {RegionGeometry(4096, 8), ProtectionKind::SecDed, 1.0, 1},
       {RegionGeometry(4096, 0), ProtectionKind::None, 0.5, 1}};
-  const CampaignConfig cfg = config_for(0x0ace0ace, 30'000);
-  expect_equal(engine_campaign(regions, model, cfg),
-               reference_campaign(regions, model, cfg), "ace edges");
+  expect_matches_reference(regions, model, config_for(0x0ace0ace, 30'000),
+                           "ace edges");
 }
 
 TEST(BatchEngine, BlockWidthNeverChangesCounters) {
   // Block size is pure scheduling (injector.h, kCampaignBatchWidth):
   // width 1 degenerates to strike-at-a-time, 33 leaves a ragged tail
   // in every block of deferred folds, 256 is the production width.
+  // Width 0 is refused, whichever engine runs.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x57a1ce5eed, 40'000);
-  const CampaignResult want = reference_campaign(mixed_surfaces(), model, cfg);
-  for (const std::uint32_t width : {1u, 3u, 7u, 33u, 256u, 1000u}) {
-    CampaignShardState state = begin_campaign_shard(cfg.seed);
-    state.scratch.batch.width = width;
-    run_campaign_chunk(mixed_surfaces(), model, cfg, state, cfg.strikes);
-    expect_equal(state.partial, want,
-                 ("width " + std::to_string(width)).c_str());
-  }
+  const StaticRun want = reference_campaign(mixed_surfaces(), model, cfg);
+  for (const std::uint32_t width : {1u, 3u, 7u, 33u, 256u, 1000u})
+    expect_same_run(engine_campaign(mixed_surfaces(), model, cfg, width), want,
+                    "width " + std::to_string(width));
+  EXPECT_THROW(engine_campaign(mixed_surfaces(), model, cfg, 0), Error);
 }
 
 TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
@@ -181,39 +216,38 @@ TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
   // the resume path (checkpointing) too.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x7a7aa77a, 30'000);
-  const CampaignResult want = reference_campaign(mixed_surfaces(), model, cfg);
+  const StaticRun want = reference_campaign(mixed_surfaces(), model, cfg);
   const std::vector<std::vector<std::uint64_t>> schedules{
       {30'000},
       {1, 1, 1, 29'997},
       {997, 4096, 30'000},  // over-asking stops at config.strikes
       {10'000, 10'000, 10'000}};
-  for (const auto& schedule : schedules) {
-    CampaignShardState state = begin_campaign_shard(cfg.seed);
-    for (const std::uint64_t step : schedule)
-      run_campaign_chunk(mixed_surfaces(), model, cfg, state, step);
-    expect_equal(state.partial, want, "chunk schedule");
-  }
+  for (const auto& schedule : schedules)
+    expect_same_run(engine_campaign(mixed_surfaces(), model, cfg,
+                                    kCampaignBatchWidth, nullptr, schedule),
+                    want,
+                    "schedule of " + std::to_string(schedule.size()) +
+                        " chunks");
 }
 
-TEST(BatchEngine, TightAndObservedPathsAgree) {
-  // With a grid attached the engine keeps full per-slot SoA arrays;
-  // without one (and with an inert observer) it tallies in registers
-  // and stores nothing. Same counters either way, and the grid totals
-  // must re-add to them.
+TEST(BatchEngine, GridNeverChangesCounters) {
+  // Attaching a grid only adds the recording sweep: same counters and
+  // stream position as the run without one, and the grid totals must
+  // re-add to the counters.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x9e3779b9, 40'000);
-  const CampaignResult tight = engine_campaign(mixed_surfaces(), model, cfg);
+  const StaticRun plain = engine_campaign(mixed_surfaces(), model, cfg);
 
   SensitivityGrid grid = make_sensitivity_grid(mixed_surfaces(), 16);
-  const CampaignResult observed =
-      engine_campaign(mixed_surfaces(), model, cfg, &grid);
-  expect_equal(observed, tight, "tight vs observed");
+  const StaticRun gridded = engine_campaign(mixed_surfaces(), model, cfg,
+                                            kCampaignBatchWidth, &grid);
+  expect_same_run(gridded, plain, "gridded vs plain");
 
   const CampaignResult totals = grid.totals();
-  EXPECT_EQ(totals.masked, tight.masked);
-  EXPECT_EQ(totals.dre, tight.dre);
-  EXPECT_EQ(totals.due, tight.due);
-  EXPECT_EQ(totals.sdc, tight.sdc);
+  EXPECT_EQ(totals.masked, plain.strikes.masked);
+  EXPECT_EQ(totals.dre, plain.strikes.dre);
+  EXPECT_EQ(totals.due, plain.strikes.due);
+  EXPECT_EQ(totals.sdc, plain.strikes.sdc);
 }
 
 TEST(BatchEngine, GridCellsMatchReference) {
@@ -224,11 +258,11 @@ TEST(BatchEngine, GridCellsMatchReference) {
   const CampaignConfig cfg = config_for(0x5ca1ab1e, 40'000);
   SensitivityGrid engine_grid = make_sensitivity_grid(mixed_surfaces(), 16);
   SensitivityGrid reference_grid = make_sensitivity_grid(mixed_surfaces(), 16);
-  const CampaignResult engine =
-      engine_campaign(mixed_surfaces(), model, cfg, &engine_grid);
-  const CampaignResult reference =
+  const StaticRun engine = engine_campaign(mixed_surfaces(), model, cfg,
+                                           kCampaignBatchWidth, &engine_grid);
+  const StaticRun reference =
       reference_campaign(mixed_surfaces(), model, cfg, &reference_grid);
-  expect_equal(engine, reference, "gridded counters");
+  expect_same_run(engine, reference, "gridded counters");
   EXPECT_EQ(engine_grid.to_csv(), reference_grid.to_csv());
 }
 
@@ -270,10 +304,9 @@ RecoveryRun drive_recovery(const LiveArrayCampaign& campaign,
   campaign.ensure_shard_images(side, cfg.seed);
   for (const std::uint64_t step : schedule) {
     if (batched)
-      campaign.run_chunk(cfg, core, side, step, nullptr, grid);
+      campaign.run_chunk(cfg, core, side, step, grid);
     else
-      CampaignOracles::recovery_chunk(campaign, cfg, core, side, step,
-                                      nullptr, grid);
+      CampaignOracles::recovery_chunk(campaign, cfg, core, side, step, grid);
   }
   RecoveryRun run;
   run.strikes = core.partial;
@@ -285,7 +318,7 @@ RecoveryRun drive_recovery(const LiveArrayCampaign& campaign,
 
 void expect_recovery_equal(const RecoveryRun& got, const RecoveryRun& want,
                            const std::string& what) {
-  expect_equal(got.strikes, want.strikes, what.c_str());
+  expect_equal(got.strikes, want.strikes, what);
   EXPECT_EQ(got.counters.demand_reads, want.counters.demand_reads) << what;
   EXPECT_EQ(got.counters.corrections, want.counters.corrections) << what;
   EXPECT_EQ(got.counters.scrub_passes, want.counters.scrub_passes) << what;
@@ -464,10 +497,9 @@ TemporalRun drive_temporal(const TemporalCampaign& campaign,
   state.scratch.batch.width = width;
   for (const std::uint64_t step : schedule) {
     if (batched)
-      campaign.run_chunk(cfg, state, step, nullptr, grid);
+      campaign.run_chunk(cfg, state, step, grid);
     else
-      CampaignOracles::temporal_chunk(campaign, cfg, state, step, nullptr,
-                                      grid);
+      CampaignOracles::temporal_chunk(campaign, cfg, state, step, grid);
   }
   return TemporalRun{state.partial, state.rng.next_u64()};
 }
@@ -488,6 +520,9 @@ TEST(BatchEngineTemporal, MatchesReferenceAcrossWidthsAndChunks) {
                    ("temporal width " + std::to_string(width)).c_str());
       EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
     }
+    // The static engine's width rule: 0 is refused, not replaced.
+    EXPECT_THROW(drive_temporal(campaign, cfg, true, 0, {cfg.strikes}),
+                 Error);
     for (const std::vector<std::uint64_t>& schedule :
          std::vector<std::vector<std::uint64_t>>{
              {1, 1, 1, 24'997}, {997, 4096, 25'000}, {5'000, 5'000, 15'000}}) {

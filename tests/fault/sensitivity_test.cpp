@@ -229,14 +229,12 @@ TEST(SensitivityCampaignTest, ChunkedRecordingMatchesSerial) {
 
   SensitivityGrid serial = make_sensitivity_grid(regions, 8);
   CampaignShardState whole = begin_campaign_shard(config.seed);
-  run_campaign_chunk(regions, model, config, whole, config.strikes, nullptr,
-                     &serial);
+  run_campaign_chunk(regions, model, config, whole, config.strikes, &serial);
 
   SensitivityGrid chunked = make_sensitivity_grid(regions, 8);
   CampaignShardState state = begin_campaign_shard(config.seed);
   while (state.done < config.strikes)
-    run_campaign_chunk(regions, model, config, state, 137, nullptr,
-                       &chunked);
+    run_campaign_chunk(regions, model, config, state, 137, &chunked);
   EXPECT_EQ(chunked.to_csv(), serial.to_csv());
 }
 

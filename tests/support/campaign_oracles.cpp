@@ -5,7 +5,6 @@
 
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -249,7 +248,6 @@ void CampaignOracles::recovery_chunk(const LiveArrayCampaign& campaign,
                                      CampaignShardState& core,
                                      RecoveryShardSide& side,
                                      std::uint64_t max_strikes,
-                                     CampaignObserver* observer,
                                      SensitivityGrid* grid) {
   FTSPM_REQUIRE(side.initialized,
                 "ensure_shard_images must run before run_chunk");
@@ -311,7 +309,6 @@ void CampaignOracles::recovery_chunk(const LiveArrayCampaign& campaign,
       case StrikeOutcome::Sdc: ++core.partial.sdc; break;
     }
     ++core.partial.strikes;
-    if (observer != nullptr) observer->on_strike(outcome);
     if (grid != nullptr) grid->record(ri, origin, outcome);
 
     if (campaign.policy_.scrub_interval != 0 &&
@@ -325,7 +322,6 @@ void CampaignOracles::temporal_chunk(const TemporalCampaign& campaign,
                                      const CampaignConfig& config,
                                      CampaignShardState& state,
                                      std::uint64_t max_strikes,
-                                     CampaignObserver* observer,
                                      SensitivityGrid* grid) {
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
@@ -370,7 +366,6 @@ void CampaignOracles::temporal_chunk(const TemporalCampaign& campaign,
       case StrikeOutcome::Sdc: ++state.partial.sdc; break;
     }
     ++state.partial.strikes;
-    if (observer != nullptr) observer->on_strike(outcome);
     if (grid != nullptr) grid->record(rid, origin, outcome);
   }
   state.done = end;

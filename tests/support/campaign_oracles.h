@@ -51,7 +51,6 @@ struct CampaignOracles {
                              CampaignShardState& core,
                              RecoveryShardSide& side,
                              std::uint64_t max_strikes,
-                             CampaignObserver* observer = nullptr,
                              SensitivityGrid* grid = nullptr);
 
   /// TemporalCampaign::run_chunk, one strike at a time: a linear
@@ -60,7 +59,6 @@ struct CampaignOracles {
                              const CampaignConfig& config,
                              CampaignShardState& state,
                              std::uint64_t max_strikes,
-                             CampaignObserver* observer = nullptr,
                              SensitivityGrid* grid = nullptr);
 
  private:
