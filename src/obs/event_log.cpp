@@ -44,8 +44,8 @@ EventLog* g_current_event_log = nullptr;
 }  // namespace
 
 EventLog* current_event_log() noexcept {
-  // Single-writer, deterministic sink: invisible to suppressed or
-  // redirected (worker) threads — the coordinator emits for them.
+  // Single-writer, deterministic sink: invisible to redirected (pool
+  // task) threads — the coordinator emits for them.
   if (!enabled() || thread_registry_redirected()) return nullptr;
   return g_current_event_log;
 }

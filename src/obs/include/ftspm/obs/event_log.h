@@ -15,8 +15,7 @@
 //
 // The sink is single-writer: only the coordinating thread emits.
 // current_event_log() returns nullptr on worker threads running under
-// an obs::ThreadRegistryScope redirect or an obs::ThreadSuppressScope,
-// mirroring current_trace().
+// an obs::ThreadRegistryScope redirect.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +60,7 @@ class EventLog {
 
 /// The process-wide event log instrumentation sites emit into, or
 /// nullptr when event logging is off, or when the calling thread is
-/// suppressed/redirected (the log is single-writer). Sites must also
+/// redirected (the log is single-writer). Sites must also
 /// check obs::enabled().
 EventLog* current_event_log() noexcept;
 

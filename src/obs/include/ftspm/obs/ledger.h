@@ -86,6 +86,13 @@ LedgerScan scan_ledger(const std::string& path);
 /// never interleave partial lines. Throws ftspm::Error on I/O failure.
 void append_ledger(const LedgerRecord& record, const std::string& path);
 
+/// Appends `record` to the ledger at `path` and returns its id. An
+/// empty id is numbered "run-<N>", N being the count of records the
+/// lenient scan_ledger reads from the file, so one torn line (a crashed
+/// appender) is not counted and cannot brick every later append. Both
+/// the one-shot tool and the daemon number their records through this.
+std::string append_run(LedgerRecord record, const std::string& path);
+
 /// Resolves a run reference against the ledger: exact `id` match
 /// first (last match wins, matching "most recent run named X"), then
 /// `@N` or an all-digits ref as a 0-based index. Returns nullptr when

@@ -32,6 +32,8 @@
 
 namespace ftspm::obs {
 
+class TraceEventSink;
+
 /// Monotonically increasing event count.
 class Counter {
  public:
@@ -167,12 +169,13 @@ class Registry {
   void clear();
 
   /// Folds `other`'s instruments into this registry: counters and
-  /// timers add, histograms merge bucket-wise (created here on first
-  /// sight), gauges take `other`'s value (last write wins, matching
-  /// what a serial run would have left behind). The parallel campaign
-  /// runner merges per-shard delta registries through this, in shard
-  /// order, so the root registry after a parallel run is byte-identical
-  /// to the serial run's.
+  /// timers add, histograms merge bucket-wise, gauges take `other`'s
+  /// value (last write wins, matching what a serial run would have left
+  /// behind). Every instrument `other` registered is registered here,
+  /// zero-valued ones included, so merging per-task deltas in task
+  /// order leaves the same key set and values as one thread filling
+  /// this registry. The campaign driver (per shard) and the suite
+  /// runner (per benchmark) merge through this after the join.
   void merge_from(const Registry& other);
 
   std::size_t size() const noexcept {
@@ -212,46 +215,37 @@ Registry& registry();
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 
-/// RAII per-thread kill switch: while alive on a thread, enabled()
-/// returns false *on that thread only*. Parallel workers that have no
-/// per-thread delta registry (e.g. the suite runner's pool tasks) hold
-/// one so instrumentation sites never race on the registry or the
-/// trace sink; the coordinating thread emits the aggregated per-shard
-/// metrics deterministically after joining. Nests; reentrant on the
-/// same thread.
-class ThreadSuppressScope {
- public:
-  ThreadSuppressScope() noexcept;
-  ~ThreadSuppressScope();
-  ThreadSuppressScope(const ThreadSuppressScope&) = delete;
-  ThreadSuppressScope& operator=(const ThreadSuppressScope&) = delete;
-};
-
-/// RAII per-thread registry redirect: while alive, registry() on this
-/// thread resolves to `local` instead of the process-wide instance, so
-/// instrumentation keeps firing on worker threads without racing —
-/// each worker tallies into its own delta registry and the coordinator
-/// merges the deltas into the root (merge_from) in deterministic shard
-/// order after the join. Tracing and the event log are suppressed on
-/// redirected threads (current_trace()/current_event_log() return
-/// nullptr): those sinks are single-writer by design, and their
-/// deterministic records are emitted by the coordinator. Nests; the
-/// innermost redirect wins.
+/// RAII per-thread redirect for pool tasks: while alive, registry() on
+/// this thread resolves to `local` instead of the process-wide
+/// instance, and current_trace() to `trace` (nullptr: no tracing on
+/// this thread), so instrumentation keeps firing on worker threads
+/// without racing. Each task records into its own sinks and the
+/// coordinator folds them into the process-wide ones (Registry::
+/// merge_from, TraceEventSink::append) in task order after the join,
+/// which keeps the result independent of the worker count. The event
+/// log stays coordinator-only: current_event_log() returns nullptr on
+/// a redirected thread. Nests; the innermost redirect wins.
 class ThreadRegistryScope {
  public:
-  explicit ThreadRegistryScope(Registry& local) noexcept;
+  explicit ThreadRegistryScope(Registry& local,
+                               TraceEventSink* trace = nullptr) noexcept;
   ~ThreadRegistryScope();
   ThreadRegistryScope(const ThreadRegistryScope&) = delete;
   ThreadRegistryScope& operator=(const ThreadRegistryScope&) = delete;
 
  private:
   Registry* prev_;
+  TraceEventSink* prev_trace_;
 };
 
 /// True while the calling thread's registry() is redirected by a
-/// ThreadRegistryScope (used by the trace/event-log accessors to stay
-/// coordinator-only).
+/// ThreadRegistryScope (used by the trace and event-log accessors).
 bool thread_registry_redirected() noexcept;
+
+/// The trace sink installed by the calling thread's innermost
+/// ThreadRegistryScope, or nullptr (current_trace() on a redirected
+/// thread).
+TraceEventSink* thread_trace() noexcept;
 
 /// RAII enable/disable for tests and tool scopes.
 class EnabledScope {

@@ -63,6 +63,12 @@ class TraceEventSink {
 
   std::size_t event_count() const noexcept { return events_.size(); }
 
+  /// Moves `other`'s events to the end of this sink. `other`'s lanes
+  /// are registered here by (process, thread) in their registration
+  /// order, so appending per-task sinks in task order numbers pids and
+  /// tids exactly as one sink fed in that order would.
+  void append(TraceEventSink&& other);
+
   /// The complete trace document:
   /// {"traceEvents":[...],"displayTimeUnit":"ms"}.
   std::string str() const;
@@ -92,8 +98,10 @@ class TraceEventSink {
   std::vector<Event> events_;
 };
 
-/// The process-wide sink instrumentation sites emit into, or nullptr
-/// when tracing is off. Sites must also check obs::enabled().
+/// The sink instrumentation sites emit into: the one installed by the
+/// calling thread's ThreadRegistryScope when that thread is redirected
+/// (possibly nullptr), else the process-wide one, or nullptr when
+/// tracing is off. Sites must also check obs::enabled().
 TraceEventSink* current_trace() noexcept;
 
 /// Installs `sink` as the current trace for this scope (RAII restore).

@@ -164,6 +164,13 @@ void append_ledger(const LedgerRecord& record, const std::string& path) {
   if (!out.good()) throw Error("failed appending to ledger '" + path + "'");
 }
 
+std::string append_run(LedgerRecord record, const std::string& path) {
+  if (record.id.empty())
+    record.id = "run-" + std::to_string(scan_ledger(path).records.size());
+  append_ledger(record, path);
+  return record.id;
+}
+
 namespace {
 
 /// Strict 0-based run-index parse: digits only, overflow-guarded.

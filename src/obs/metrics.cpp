@@ -280,18 +280,18 @@ void Registry::clear() {
 
 void Registry::merge_from(const Registry& other) {
   for (const auto& [name, c] : other.counters_)
-    if (c.value() != 0) counter(name).add(c.value());
+    counter(name).add(c.value());
   for (const auto& [name, g] : other.gauges_) gauge(name).set(g.value());
   for (const auto& [name, h] : other.histograms_)
     histogram(name, h.bounds()).merge_from(h);
   for (const auto& [name, t] : other.timers_)
-    if (t.count() != 0) timer(name).merge_from(t);
+    timer(name).merge_from(t);
   // Labelled series merge like their plain counterparts; the series key
   // (canonical label encoding) needs no LabelSet round trip.
   for (const auto& [name, series] : other.labelled_counters_) {
     auto& mine = labelled_counters_[name];
     for (const auto& [labels, c] : series)
-      if (c.value() != 0) mine[labels].add(c.value());
+      mine[labels].add(c.value());
   }
   for (const auto& [name, family] : other.labelled_histograms_) {
     auto it = labelled_histograms_.find(name);
@@ -314,8 +314,8 @@ void Registry::merge_from(const Registry& other) {
 
 namespace {
 bool g_enabled = false;
-thread_local int t_suppress_depth = 0;
 thread_local Registry* t_registry = nullptr;
+thread_local TraceEventSink* t_trace = nullptr;
 }  // namespace
 
 Registry& registry() {
@@ -324,18 +324,21 @@ Registry& registry() {
   return instance;
 }
 
-bool enabled() noexcept { return g_enabled && t_suppress_depth == 0; }
+bool enabled() noexcept { return g_enabled; }
 void set_enabled(bool on) noexcept { g_enabled = on; }
 
-ThreadSuppressScope::ThreadSuppressScope() noexcept { ++t_suppress_depth; }
-ThreadSuppressScope::~ThreadSuppressScope() { --t_suppress_depth; }
-
-ThreadRegistryScope::ThreadRegistryScope(Registry& local) noexcept
-    : prev_(t_registry) {
+ThreadRegistryScope::ThreadRegistryScope(Registry& local,
+                                         TraceEventSink* trace) noexcept
+    : prev_(t_registry), prev_trace_(t_trace) {
   t_registry = &local;
+  t_trace = trace;
 }
-ThreadRegistryScope::~ThreadRegistryScope() { t_registry = prev_; }
+ThreadRegistryScope::~ThreadRegistryScope() {
+  t_registry = prev_;
+  t_trace = prev_trace_;
+}
 
 bool thread_registry_redirected() noexcept { return t_registry != nullptr; }
+TraceEventSink* thread_trace() noexcept { return t_trace; }
 
 }  // namespace ftspm::obs

@@ -71,6 +71,18 @@ void TraceEventSink::value(LaneId lane, std::string_view name,
   events_.push_back(Event{'C', lane, std::string(name), ts, 0, value, {}});
 }
 
+void TraceEventSink::append(TraceEventSink&& other) {
+  std::vector<LaneId> remap;
+  remap.reserve(other.lanes_.size());
+  for (const Lane& l : other.lanes_) remap.push_back(lane(l.process, l.thread));
+  events_.reserve(events_.size() + other.events_.size());
+  for (Event& e : other.events_) {
+    e.lane = remap[e.lane];
+    events_.push_back(std::move(e));
+  }
+  other.events_.clear();
+}
+
 std::string TraceEventSink::str() const {
   JsonWriter w;
   w.begin_object();
@@ -133,10 +145,9 @@ TraceEventSink* g_current_trace = nullptr;
 }  // namespace
 
 TraceEventSink* current_trace() noexcept {
-  // The trace sink is single-writer: worker threads running under a
-  // per-shard registry redirect never see it, only the coordinator
-  // emits (deterministic) trace records.
-  return thread_registry_redirected() ? nullptr : g_current_trace;
+  // Each sink is single-writer: a redirected (pool task) thread sees
+  // only its own sink, which the coordinator appends after the join.
+  return thread_registry_redirected() ? thread_trace() : g_current_trace;
 }
 
 TraceScope::TraceScope(TraceEventSink* sink) : prev_(g_current_trace) {

@@ -23,32 +23,25 @@ struct SuiteRow {
 };
 
 /// Invoked after each benchmark completes with (benchmarks_done,
-/// benchmarks_total, name_of_the_one_just_finished). Reporting only;
-/// results are unaffected.
+/// benchmarks_total, name_of_the_one_just_finished), serialized, in
+/// completion order. Reporting only; results are unaffected.
 using SuiteProgress =
     std::function<void(std::size_t, std::size_t, const std::string&)>;
 
-/// Runs every benchmark at the given scale. Deterministic. When
-/// observability is enabled, each benchmark also gets a wall-clock
-/// timer in the registry ("suite.<name>") and a span on the trace's
-/// "suite" lane, timestamped by cumulative simulated FTSPM cycles.
+/// Runs every benchmark at the given scale on an exec::ThreadPool of
+/// `jobs` workers (0 = exec::default_jobs(); 1 runs on the caller's
+/// thread). Each benchmark is one task that records into its own
+/// metrics registry and trace sink; after the join they are folded into
+/// the process-wide ones in benchmark order. When observability is
+/// enabled, each benchmark also gets a wall-clock timer ("suite.<name>"),
+/// a span on the trace's "suite" lane timestamped by cumulative
+/// simulated FTSPM cycles, and phase_start/phase_end event-log records.
+/// Rows, metrics snapshot, trace and event log are byte-identical for
+/// any `jobs`; the progress order is the only thing that varies.
 std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                                 std::uint64_t scale_divisor = 1,
+                                std::uint32_t jobs = 1,
                                 const SuiteProgress& progress = {});
-
-/// run_suite fanned across a ftspm/exec worker pool: each benchmark is
-/// one independent task, results are collected in benchmark order, and
-/// the returned rows are identical to the serial function's for any
-/// jobs value. `jobs <= 1` falls through to run_suite. The progress
-/// callback fires (serialized) in *completion* order — that is the
-/// only observable difference. When observability is enabled, workers
-/// run suppressed and the per-benchmark timers and trace spans are
-/// emitted after the join, in benchmark order, so the trace document
-/// matches the serial one byte for byte.
-std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
-                                         std::uint64_t scale_divisor,
-                                         std::uint32_t jobs,
-                                         const SuiteProgress& progress = {});
 
 /// Geometric mean of per-row ratios f(row); rows where the ratio is
 /// non-positive or non-finite are skipped.

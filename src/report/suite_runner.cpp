@@ -1,6 +1,5 @@
 #include "ftspm/report/suite_runner.h"
 
-#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <optional>
@@ -15,128 +14,71 @@ namespace ftspm {
 
 std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                                 std::uint64_t scale_divisor,
+                                std::uint32_t jobs,
                                 const SuiteProgress& progress) {
+  const std::vector<MiBenchmark>& benchmarks = all_benchmarks();
+  const std::size_t n = benchmarks.size();
   obs::TraceEventSink* trace =
       obs::enabled() ? obs::current_trace() : nullptr;
-  const obs::TraceEventSink::LaneId lane =
-      trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
-  obs::EventLog* events = obs::enabled() ? obs::current_event_log() : nullptr;
-  std::uint64_t cumulative_cycles = 0;
 
-  std::vector<SuiteRow> rows;
-  rows.reserve(kMiBenchmarkCount);
-  std::size_t done = 0;
-  for (MiBenchmark bench : all_benchmarks()) {
+  // Each benchmark is one pool task that records into its own registry
+  // and trace; the coordinator folds them in benchmark order after the
+  // join, so every artefact is the same whatever `jobs` says.
+  std::vector<std::optional<SuiteRow>> slots(n);
+  std::vector<obs::Registry> registries(n);
+  std::vector<obs::TraceEventSink> traces(trace != nullptr ? n : 0);
+  std::mutex progress_mutex;
+  std::size_t completed = 0;
+  exec::ThreadPool pool(jobs);
+  parallel_for(pool, n, [&](std::size_t i) {
+    const obs::ThreadRegistryScope redirect(
+        registries[i], traces.empty() ? nullptr : &traces[i]);
+    const MiBenchmark bench = benchmarks[i];
     const std::string name = to_string(bench);
-    if (events != nullptr)
-      events->emit("phase_start", cumulative_cycles,
-                   {obs::TraceArg::str("kind", "suite"),
-                    obs::TraceArg::str("benchmark", name)});
     std::vector<SystemResult> results;
     {
       const obs::ScopedTimer timer("suite." + name);
-      const Workload workload = make_benchmark(bench, scale_divisor);
-      results = evaluator.evaluate_all(workload);
+      results = evaluator.evaluate_all(make_benchmark(bench, scale_divisor));
     }
-    FTSPM_CHECK(results.size() == 3, "expected three structures");
-    if (trace != nullptr) {
-      // Span the benchmark over its own FTSPM run on a cumulative
-      // simulated-cycle axis (deterministic, unlike wall time).
-      trace->complete(lane, name, cumulative_cycles,
-                      results[0].run.total_cycles,
-                      {obs::TraceArg::num("cycles",
-                                          results[0].run.total_cycles)});
-    }
-    if (events != nullptr)
-      events->emit("phase_end",
-                   cumulative_cycles + results[0].run.total_cycles,
-                   {obs::TraceArg::str("kind", "suite"),
-                    obs::TraceArg::str("benchmark", name),
-                    obs::TraceArg::num("cycles",
-                                       results[0].run.total_cycles)});
-    cumulative_cycles += results[0].run.total_cycles;
-    rows.push_back(SuiteRow{bench, name, std::move(results[0]),
-                            std::move(results[1]), std::move(results[2])});
-    ++done;
-    if (progress) progress(done, kMiBenchmarkCount, name);
-  }
-  return rows;
-}
-
-std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
-                                         std::uint64_t scale_divisor,
-                                         std::uint32_t jobs,
-                                         const SuiteProgress& progress) {
-  if (jobs <= 1) return run_suite(evaluator, scale_divisor, progress);
-
-  const std::vector<MiBenchmark> benchmarks = [] {
-    std::vector<MiBenchmark> v;
-    for (MiBenchmark b : all_benchmarks()) v.push_back(b);
-    return v;
-  }();
-  std::vector<std::optional<SuiteRow>> slots(benchmarks.size());
-  std::vector<std::uint64_t> wall_ns(benchmarks.size(), 0);
-  std::mutex progress_mutex;
-  std::size_t completed = 0;
-
-  exec::ThreadPool pool(jobs);
-  parallel_for(pool, benchmarks.size(), [&](std::size_t i) {
-    // Workers stay out of the process-wide registry/trace; the
-    // per-benchmark timers and spans are emitted below, in order.
-    const obs::ThreadSuppressScope suppress;
-    const MiBenchmark bench = benchmarks[i];
-    const std::string name = to_string(bench);
-    const auto start = std::chrono::steady_clock::now();
-    const Workload workload = make_benchmark(bench, scale_divisor);
-    std::vector<SystemResult> results = evaluator.evaluate_all(workload);
-    wall_ns[i] = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
     FTSPM_CHECK(results.size() == 3, "expected three structures");
     slots[i] = SuiteRow{bench, name, std::move(results[0]),
                         std::move(results[1]), std::move(results[2])};
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(++completed, benchmarks.size(), name);
+      progress(++completed, n, name);
     }
   });
 
+  for (const obs::Registry& reg : registries) obs::registry().merge_from(reg);
+  // The suite lane is registered before any task's lanes so pid/tid
+  // numbering matches one sink fed benchmark by benchmark.
+  const obs::TraceEventSink::LaneId lane =
+      trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
+  obs::EventLog* events = obs::enabled() ? obs::current_event_log() : nullptr;
   std::vector<SuiteRow> rows;
-  rows.reserve(slots.size());
-  for (std::optional<SuiteRow>& slot : slots) rows.push_back(std::move(*slot));
-
-  // Deterministic post-join observability, mirroring the serial path:
-  // wall timers per benchmark and suite spans on a cumulative
-  // simulated-cycle axis, both in benchmark order.
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::registry();
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      reg.timer("suite." + rows[i].name).record_ns(wall_ns[i]);
-    obs::TraceEventSink* trace = obs::current_trace();
-    const obs::TraceEventSink::LaneId lane =
-        trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
-    obs::EventLog* events = obs::current_event_log();
-    std::uint64_t cumulative_cycles = 0;
-    for (const SuiteRow& row : rows) {
-      if (events != nullptr)
-        events->emit("phase_start", cumulative_cycles,
-                     {obs::TraceArg::str("kind", "suite"),
-                      obs::TraceArg::str("benchmark", row.name)});
-      if (trace != nullptr)
-        trace->complete(lane, row.name, cumulative_cycles,
-                        row.ftspm.run.total_cycles,
-                        {obs::TraceArg::num("cycles",
-                                            row.ftspm.run.total_cycles)});
-      if (events != nullptr)
-        events->emit("phase_end",
-                     cumulative_cycles + row.ftspm.run.total_cycles,
-                     {obs::TraceArg::str("kind", "suite"),
-                      obs::TraceArg::str("benchmark", row.name),
-                      obs::TraceArg::num("cycles",
-                                         row.ftspm.run.total_cycles)});
-      cumulative_cycles += row.ftspm.run.total_cycles;
+  rows.reserve(n);
+  std::uint64_t cumulative_cycles = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    SuiteRow& row = *slots[i];
+    const std::uint64_t cycles = row.ftspm.run.total_cycles;
+    if (events != nullptr)
+      events->emit("phase_start", cumulative_cycles,
+                   {obs::TraceArg::str("kind", "suite"),
+                    obs::TraceArg::str("benchmark", row.name)});
+    if (trace != nullptr) {
+      trace->append(std::move(traces[i]));
+      // Span the benchmark over its own FTSPM run on a cumulative
+      // simulated-cycle axis (deterministic, unlike wall time).
+      trace->complete(lane, row.name, cumulative_cycles, cycles,
+                      {obs::TraceArg::num("cycles", cycles)});
     }
+    if (events != nullptr)
+      events->emit("phase_end", cumulative_cycles + cycles,
+                   {obs::TraceArg::str("kind", "suite"),
+                    obs::TraceArg::str("benchmark", row.name),
+                    obs::TraceArg::num("cycles", cycles)});
+    cumulative_cycles += cycles;
+    rows.push_back(std::move(row));
   }
   return rows;
 }

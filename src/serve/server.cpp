@@ -704,13 +704,9 @@ void Server::Impl::run_one(PendingRequest req) {
   obs::LedgerRecord record = campaign_spec_record(req.spec, outcome);
   std::string run_id;
   if (!cfg.ledger_path.empty()) {
-    // Same id convention as the one-shot tool: run-<index> over the
-    // records already present (lenient scan, like append_run_record).
+    // obs::append_run numbers the record as the one-shot tool does.
     const std::lock_guard<std::mutex> lock(ledger_mutex);
-    record.id = "run-" + std::to_string(
-                             obs::scan_ledger(cfg.ledger_path).records.size());
-    run_id = record.id;
-    obs::append_ledger(record, cfg.ledger_path);
+    run_id = obs::append_run(record, cfg.ledger_path);
   }
   completed.fetch_add(1, std::memory_order_relaxed);
   record_outcome("completed");

@@ -150,6 +150,29 @@ TEST(LedgerScanTest, SkipsCorruptLinesWithTheirLineNumbers) {
   std::remove(path.c_str());
 }
 
+TEST(LedgerTest, AppendRunNumbersOverParseableRecordsOnly) {
+  const std::string path = temp_path("ftspm_append_run");
+  std::remove(path.c_str());
+  EXPECT_EQ(append_run(sample(""), path), "run-0");
+  {
+    // A crashed appender leaves a torn line behind.
+    std::FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const std::string torn = sample("run-x").to_json().substr(0, 20) + "\n";
+    std::fwrite(torn.data(), 1, torn.size(), f);
+    std::fclose(f);
+  }
+  EXPECT_EQ(append_run(sample(""), path), "run-1");
+  EXPECT_EQ(append_run(sample("named"), path), "named");
+  EXPECT_EQ(append_run(sample(""), path), "run-3");
+  const LedgerScan scan = scan_ledger(path);
+  ASSERT_EQ(scan.records.size(), 4u);
+  EXPECT_EQ(scan.records[1].id, "run-1");
+  EXPECT_EQ(scan.records[3].id, "run-3");
+  EXPECT_EQ(scan.warnings.size(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(LedgerScanTest, ToleratesCrlfAndBlankLines) {
   const std::string path = temp_path("ftspm_scan_crlf");
   {

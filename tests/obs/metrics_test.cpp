@@ -148,6 +148,32 @@ TEST(RegistryTest, MergeFoldsEveryInstrumentKind) {
   EXPECT_EQ(a.timer("t").count(), 1u);
 }
 
+TEST(RegistryTest, MergedDeltasMatchOneThreadFillingTheRegistry) {
+  // What each task records: a counter that may stay zero, a labelled
+  // series that may stay zero, and a histogram.
+  const auto record = [](Registry& r, std::uint64_t evictions, double v) {
+    r.counter("sim.evictions").add(evictions);
+    r.counter("campaign.outcomes", LabelSet{{"outcome", "sdc"}})
+        .add(evictions);
+    r.histogram("lat", {1.0, 2.0}).observe(v);
+  };
+  Registry direct;
+  record(direct, 0, 0.5);
+  record(direct, 0, 2.5);
+
+  Registry merged;
+  Registry first;
+  Registry second;
+  record(first, 0, 0.5);
+  record(second, 0, 2.5);
+  merged.merge_from(first);
+  merged.merge_from(second);
+  EXPECT_EQ(merged.to_json(), direct.to_json());
+  EXPECT_EQ(merged.to_csv(), direct.to_csv());
+  EXPECT_NE(merged.to_json().find("\"sim.evictions\":0"), std::string::npos)
+      << merged.to_json();
+}
+
 TEST(RegistryTest, ThreadScopeRedirectsAndRestores) {
   registry().clear();
   const EnabledScope enable(true);

@@ -109,6 +109,55 @@ TEST(CurrentTraceTest, TraceScopeInstallsAndRestores) {
   EXPECT_EQ(current_trace(), nullptr);
 }
 
+TEST(TraceSinkTest, AppendNumbersLanesLikeOneSinkFedInOrder) {
+  // One sink fed task by task ...
+  TraceEventSink direct;
+  const auto suite = direct.lane("suite", "benchmarks");
+  direct.instant(direct.lane("sim", "dma"), "a0", 0);
+  direct.instant(direct.lane("sim", "phases"), "a1", 1);
+  direct.instant(direct.lane("sim", "phases"), "b0", 2);
+  direct.instant(direct.lane("mda", "decisions"), "b1", 3);
+  direct.instant(direct.lane("sim", "dma"), "b2", 4);
+  direct.instant(suite, "done", 5);
+
+  // ... equals per-task sinks whose lanes were registered in other
+  // orders, appended in task order.
+  TraceEventSink first;
+  first.instant(first.lane("sim", "dma"), "a0", 0);
+  first.instant(first.lane("sim", "phases"), "a1", 1);
+  TraceEventSink second;
+  const auto mda = second.lane("mda", "decisions");
+  const auto dma = second.lane("sim", "dma");
+  const auto phases = second.lane("sim", "phases");
+  second.instant(phases, "b0", 2);
+  second.instant(mda, "b1", 3);
+  second.instant(dma, "b2", 4);
+
+  TraceEventSink merged;
+  const auto merged_suite = merged.lane("suite", "benchmarks");
+  merged.append(std::move(first));
+  merged.append(std::move(second));
+  merged.instant(merged_suite, "done", 5);
+  EXPECT_EQ(merged.event_count(), direct.event_count());
+  EXPECT_EQ(merged.str(), direct.str());
+}
+
+TEST(CurrentTraceTest, RedirectedThreadSeesItsOwnSink) {
+  TraceEventSink global;
+  const TraceScope scope(&global);
+  Registry local;
+  TraceEventSink own;
+  {
+    const ThreadRegistryScope redirect(local, &own);
+    EXPECT_EQ(current_trace(), &own);
+  }
+  {
+    const ThreadRegistryScope redirect(local);
+    EXPECT_EQ(current_trace(), nullptr);
+  }
+  EXPECT_EQ(current_trace(), &global);
+}
+
 TEST(PhaseSpanTest, EmitsBalancedBeginEnd) {
   TraceEventSink sink;
   const auto lane = sink.lane("suite", "benchmarks");

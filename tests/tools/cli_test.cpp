@@ -371,14 +371,40 @@ TEST(CliTest, CampaignJsonAndCsvCarryRecoveryCounters) {
 }
 
 TEST(CliTest, SuiteOutputIsJobsInvariant) {
-  const CommandResult serial =
-      run_tool_stdout("--jobs 1 suite --scale 64 --json");
-  const CommandResult parallel =
-      run_tool_stdout("--jobs 4 suite --scale 64 --json");
-  EXPECT_EQ(serial.exit_code, 0);
-  EXPECT_EQ(parallel.exit_code, 0);
-  ASSERT_FALSE(serial.output.empty());
-  EXPECT_EQ(serial.output, parallel.output);
+  // Stdout and every deterministic artefact must not change with the
+  // worker count.
+  struct Run {
+    CommandResult result;
+    std::string metrics;
+    std::string trace;
+    std::string events;
+  };
+  const auto run = [](const char* jobs) {
+    const std::string stem = std::string("ftspm_cli_suite_j") + jobs;
+    const std::string metrics = temp_path((stem + ".metrics.json").c_str());
+    const std::string trace = temp_path((stem + ".trace.json").c_str());
+    const std::string events = temp_path((stem + ".events.ndjson").c_str());
+    Run r{run_tool_stdout(std::string("--jobs ") + jobs + " --metrics-out " +
+                          metrics + " --trace-out " + trace +
+                          " --events-out " + events +
+                          " suite --scale 64 --json"),
+          slurp(metrics), slurp(trace), slurp(events)};
+    for (const std::string& path : {metrics, trace, events})
+      std::remove(path.c_str());
+    return r;
+  };
+  const Run serial = run("1");
+  const Run parallel = run("4");
+  EXPECT_EQ(serial.result.exit_code, 0);
+  EXPECT_EQ(parallel.result.exit_code, 0);
+  ASSERT_FALSE(serial.result.output.empty());
+  ASSERT_FALSE(serial.metrics.empty());
+  ASSERT_FALSE(serial.trace.empty());
+  ASSERT_FALSE(serial.events.empty());
+  EXPECT_EQ(serial.result.output, parallel.result.output);
+  EXPECT_EQ(serial.metrics, parallel.metrics);
+  EXPECT_EQ(serial.trace, parallel.trace);
+  EXPECT_EQ(serial.events, parallel.events);
 }
 
 TEST(CliTest, EventLogIsByteIdenticalAcrossJobCounts) {

@@ -264,20 +264,15 @@ std::vector<std::string> extract_global_options(int argc,
 }
 
 /// Appends one run record to the --ledger file; a no-op when the
-/// option is absent. Fills the id: --run-id wins, else run-<index>
-/// over the records already in the file. Indexing uses the lenient
-/// scan so one torn line (a crashed appender) cannot brick every
-/// future append to the ledger.
+/// option is absent. --run-id names the record, else obs::append_run
+/// numbers it.
 void append_run_record(obs::LedgerRecord record) {
   if (g_session == nullptr) return;
   const GlobalOptions& g = g_session->options();
   if (g.ledger.empty()) return;
-  record.id =
-      !g.run_id.empty()
-          ? g.run_id
-          : "run-" + std::to_string(obs::scan_ledger(g.ledger).records.size());
-  obs::append_ledger(record, g.ledger);
-  std::cerr << "appended run '" << record.id << "' to " << g.ledger << "\n";
+  record.id = g.run_id;
+  const std::string id = obs::append_run(std::move(record), g.ledger);
+  std::cerr << "appended run '" << id << "' to " << g.ledger << "\n";
 }
 
 /// The ledger the read-side commands (`runs`, `compare`) consult:
@@ -537,8 +532,8 @@ int cmd_suite(int argc, const char* const* argv) {
   const std::uint64_t scale = args.option_uint("scale");
   const StructureEvaluator evaluator;
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::vector<SuiteRow> rows = run_suite_parallel(
-      evaluator, scale, jobs_requested(), make_suite_progress());
+  const std::vector<SuiteRow> rows =
+      run_suite(evaluator, scale, jobs_requested(), make_suite_progress());
   {
     obs::LedgerRecord record;
     record.command = "suite";
@@ -829,9 +824,9 @@ int cmd_report(int argc, const char* const* argv) {
   args.add_option("out-dir", "output directory", "ftspm_report");
   args.parse(argc, argv, 2);
   const StructureEvaluator evaluator;
-  const std::vector<SuiteRow> rows = run_suite_parallel(
-      evaluator, args.option_uint("scale"),
-      jobs_requested(), make_suite_progress());
+  const std::vector<SuiteRow> rows =
+      run_suite(evaluator, args.option_uint("scale"), jobs_requested(),
+                make_suite_progress());
   for (const std::string& path :
        write_all_csv(evaluator, rows, args.option("out-dir")))
     std::cout << "wrote " << path << "\n";
