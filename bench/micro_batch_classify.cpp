@@ -1,9 +1,9 @@
-// Batch-classification microbenchmarks (google-benchmark): the SoA
-// syndrome-fold kernel behind the batched campaign engine
-// (docs/performance.md, "Batched classification") at several batch
-// sizes, plus the full classify_pattern_batch pipeline against a
-// per-pattern loop, so the per-element win of batching is visible in
-// isolation from the campaign's generation stage.
+// Pattern-classification microbenchmarks (google-benchmark): the
+// SEC-DED syndrome-fold kernel (docs/performance.md, "Per-strike
+// classification") over arrays of several sizes, and the per-pattern
+// classify_pattern calls the campaign engines make — SEC-DED and
+// parity — on the same pattern pool, so the per-pattern cost is
+// visible in isolation from the campaign's generation stage.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -61,22 +61,8 @@ void BM_FoldSyndromes(benchmark::State& state) {
 }
 BENCHMARK(BM_FoldSyndromes)->Arg(64)->Arg(256)->Arg(4096);
 
-// The whole batch pipeline (fold + syndrome-LUT decode) against the
-// same work done one classify_pattern call at a time.
-void BM_ClassifyPatternBatch(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const PatternArrays& p = patterns();
-  std::vector<PatternDecode> out(count);
-  for (auto _ : state) {
-    SecDedCodec::classify_pattern_batch(p.data.data(), p.check.data(), count,
-                                        out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_ClassifyPatternBatch)->Arg(64)->Arg(256)->Arg(4096);
-
+// classify_pattern (fold + syndrome-LUT decode) one pattern at a
+// time, as the campaign engines call it.
 void BM_ClassifyPatternLoop(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const PatternArrays& p = patterns();
@@ -91,19 +77,19 @@ void BM_ClassifyPatternLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyPatternLoop)->Arg(64)->Arg(256)->Arg(4096);
 
-void BM_ParityClassifyBatch(benchmark::State& state) {
+void BM_ParityClassifyPatternLoop(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const PatternArrays& p = patterns();
   std::vector<PatternDecode> out(count);
   for (auto _ : state) {
-    ParityCodec::classify_pattern_batch(p.data.data(), p.check.data(), count,
-                                        out.data());
+    for (std::size_t i = 0; i < count; ++i)
+      out[i] = ParityCodec::classify_pattern(p.data[i], p.check[i]);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(count));
 }
-BENCHMARK(BM_ParityClassifyBatch)->Arg(64)->Arg(256)->Arg(4096);
+BENCHMARK(BM_ParityClassifyPatternLoop)->Arg(64)->Arg(256)->Arg(4096);
 
 }  // namespace
 

@@ -1,11 +1,11 @@
-// Batched hot loop of the temporal (residency-resolved) campaign.
+// Strike loop of the temporal (residency-resolved) campaign.
 //
 // The strike-at-a-time reference loop (tests/support/campaign_oracles)
-// resolves each strike with FP draws (next_discrete's subtract-scan, next_bool conversions), a
-// hardware divide for the struck word, and a per-word classify. This
-// file replays the identical campaign on the batch engine
-// (fault/batch_engine.h), exactly as the static and recovery campaigns
-// already do:
+// resolves each strike with FP draws (next_discrete's subtract-scan,
+// next_bool conversions), a hardware divide for the struck word, and a
+// per-word classify. This file replays the identical campaign on the
+// static engine's machinery (fault/batch_engine.h), one pass with every
+// strike resolved where it lands:
 //
 //  * aim draws become integer compares against per-chunk tables
 //    (pick_region / FastDiv64 / sample_flips_draw), each bit-identical
@@ -15,24 +15,18 @@
 //    (DrawBernoulli), in the same first-match order;
 //  * classification goes through classify_batch_strike: <= 2-bit
 //    patterns resolve from the popcount class LUT, >= 3-bit SEC-DED
-//    patterns are deferred onto the block's SoA fold list, and the
-//    block finisher shared with the static engine (detail::
-//    finish_block) resolves them by one SecDedCodec::fold_syndromes
-//    pass per block instead of a classify_pattern call per word, then
-//    applies the ACE keep, tallies and records the grid.
+//    patterns through SecDedCodec::classify_pattern on the spot; the
+//    ACE keep applies, the strike tallies into register counters, and
+//    the grid (if any) records it.
 //
 // Equivalence contract: counters, grids, and the RNG stream match the
-// reference loop bit for bit for every chunk schedule and block
-// width. The draw schedule per strike is region, origin, instant,
-// then — only when a mapped block occupies the struck word at that
-// instant — multiplicity, one burned draw per struck codeword, and one
-// ACE Bernoulli. The ACE draw fires exactly when the
-// surface is not Immune: any flip in an occupied non-Immune word
-// yields a non-Masked pre-ACE verdict (deferred >= 3-bit patterns
-// included — they can never fold to Masked), and Immune words classify
-// Masked without drawing, so the reference's `outcome != Masked` gate
-// never depends on a still-deferred fold. Pinned by
-// tests/fault/batch_engine_test.cpp and the CampaignGolden suite.
+// reference loop bit for bit for every chunk schedule. The draw
+// schedule per strike is region, origin, instant, then — only when a
+// mapped block occupies the struck word at that instant —
+// multiplicity, one burned draw per struck codeword, and one ACE
+// Bernoulli iff the pre-ACE verdict is not Masked, exactly the
+// reference's gate. Pinned by tests/fault/batch_engine_test.cpp and the
+// CampaignGolden suite.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -63,8 +57,6 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
                                  CampaignShardState& state,
                                  std::uint64_t max_strikes,
                                  SensitivityGrid* grid) const {
-  CampaignScratch::Batch& batch = state.scratch.batch;
-  const std::uint32_t width = detail::begin_blocks(batch);
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
   if (end <= state.done) {
@@ -72,6 +64,7 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     return;
   }
 
+  CampaignScratch::Batch& batch = state.scratch.batch;
   detail::build_region_table(surfaces_, batch);
   const detail::FlipCutoffs cuts =
       detail::make_flip_cutoffs(strikes_, config.max_flips);
@@ -105,52 +98,51 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     span_begin[region_count] = spans.size();
   }
 
-  // The generator runs as a stack copy, written back once per chunk.
+  // The generator runs as a stack copy, written back once per chunk;
+  // outcomes tally into a local array flushed once per chunk.
   Rng rng = state.rng;
+  std::uint64_t tallies[4] = {0, 0, 0, 0};
 
-  for (std::uint64_t base = state.done; base < end; base += width) {
-    const auto block =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(width, end - base));
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      // Aim draws in the reference order: region, origin, instant.
-      const std::size_t rid =
-          detail::pick_region(rng, pick_breaks, region_count, pick_fallback);
-      const BatchRegionInfo& R = regions[rid];
-      const std::uint64_t origin = rng.next_below(R.physical_bits);
-      const std::uint64_t word = R.div_codeword.divide(origin);
-      const std::uint64_t when = rng.next_below(horizon_);
-      batch.region_of[slot] = static_cast<std::uint32_t>(rid);
-      batch.origin[slot] = origin;
+  for (std::uint64_t s = state.done; s < end; ++s) {
+    // Aim draws in the reference order: region, origin, instant.
+    const std::size_t rid =
+        detail::pick_region(rng, pick_breaks, region_count, pick_fallback);
+    const BatchRegionInfo& R = regions[rid];
+    const std::uint64_t origin = rng.next_below(R.physical_bits);
+    const std::uint64_t word = R.div_codeword.divide(origin);
+    const std::uint64_t when = rng.next_below(horizon_);
 
-      // Who holds this word at that instant? First match, span order.
-      const SpanInfo* occupant = nullptr;
-      for (std::size_t k = span_begin[rid]; k < span_begin[rid + 1]; ++k) {
-        const SpanInfo& sp = spans[k];
-        if (sp.map_index > when || when >= sp.unmap_end) continue;
-        if (word < sp.base_word || word >= sp.end_word) continue;
-        occupant = &sp;
-        break;
-      }
-
-      std::uint8_t out = static_cast<std::uint8_t>(StrikeOutcome::Masked);
-      std::uint8_t keep = 1;
-      if (occupant != nullptr) {
-        const std::uint32_t flips =
-            detail::sample_flips_draw(rng, cuts, config.max_flips);
-        out = detail::classify_batch_strike(R, rng, state.scratch, slot,
-                                            origin, flips);
-        // Reference order: the ACE draw follows the classify burns and
-        // fires iff the pre-ACE verdict is not Masked — which is
-        // exactly "the surface is not Immune" (see file comment).
-        if (R.protection != ProtectionKind::Immune)
-          keep = detail::draw_bernoulli(rng, occupant->ace) ? 1 : 0;
-      }
-      batch.outcome[slot] = out;
-      batch.ace_keep[slot] = keep;
+    // Who holds this word at that instant? First match, span order.
+    const SpanInfo* occupant = nullptr;
+    for (std::size_t k = span_begin[rid]; k < span_begin[rid + 1]; ++k) {
+      const SpanInfo& sp = spans[k];
+      if (sp.map_index > when || when >= sp.unmap_end) continue;
+      if (word < sp.base_word || word >= sp.end_word) continue;
+      occupant = &sp;
+      break;
     }
 
-    detail::finish_block(batch, block, state.partial, grid);
+    std::uint8_t out = static_cast<std::uint8_t>(StrikeOutcome::Masked);
+    if (occupant != nullptr) {
+      const std::uint32_t flips =
+          detail::sample_flips_draw(rng, cuts, config.max_flips);
+      out = detail::classify_batch_strike(R, rng, state.scratch, origin,
+                                          flips);
+      // Reference order: the ACE draw follows the classify burns and
+      // fires iff the pre-ACE verdict is not Masked.
+      if (out != static_cast<std::uint8_t>(StrikeOutcome::Masked) &&
+          !detail::draw_bernoulli(rng, occupant->ace))
+        out = static_cast<std::uint8_t>(StrikeOutcome::Masked);
+    }
+    ++tallies[out];
+    if (grid != nullptr)
+      grid->record(rid, origin, static_cast<StrikeOutcome>(out));
   }
+  state.partial.strikes += end - state.done;
+  state.partial.masked += tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
+  state.partial.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
+  state.partial.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
+  state.partial.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
   state.rng = rng;
   state.done = end;
 }

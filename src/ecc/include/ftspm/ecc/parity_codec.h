@@ -6,7 +6,6 @@
 // is P(1 flip) and SDC probability is P(>=2 flips).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "ftspm/ecc/codec.h"
@@ -36,24 +35,11 @@ class ParityCodec {
   /// number of flipped bits (data + parity) trips the check, an even
   /// number passes. `parity_mask` is 1 when the parity bit flipped.
   /// Equivalent to encode(x) -> flip -> decode for every x (linearity).
+  /// The campaign engines skip even this call: a parity word's whole
+  /// verdict is its syndrome bit, parity64(data_mask) ^ (parity_mask &
+  /// 1), which they compute in place.
   static PatternDecode classify_pattern(std::uint64_t data_mask,
                                         std::uint8_t parity_mask) noexcept;
-
-  /// Raw parity syndromes over arrays: out[i] ==
-  /// parity64(data_masks[i]) ^ (parity_masks[i] & 1), always 0 or 1.
-  /// The batched campaign engines consume this directly (a parity
-  /// word's whole verdict is its syndrome bit).
-  static void fold_parity(const std::uint64_t* data_masks,
-                          const std::uint8_t* parity_masks,
-                          std::size_t count, std::uint8_t* out) noexcept;
-
-  /// classify_pattern over arrays: out[i] == classify_pattern(
-  /// data_masks[i], parity_masks[i]) for every i. One fold_parity pass
-  /// plus the trivial verdict expansion.
-  static void classify_pattern_batch(const std::uint64_t* data_masks,
-                                     const std::uint8_t* parity_masks,
-                                     std::size_t count,
-                                     PatternDecode* out) noexcept;
 
   /// Flips physical bit `bit` (0..64) in place. Used by fault injection.
   static void flip_bit(ParityWord& word, std::uint32_t bit);

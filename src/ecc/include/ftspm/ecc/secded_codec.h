@@ -14,7 +14,6 @@
 //    the behaviour the paper's Eq. 7 charges to SDC.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -41,47 +40,27 @@ class SecDedCodec {
   static DecodeResult decode(const SecDedWord& word) noexcept;
 
   /// Classifies an error pattern without touching stored data: folds the
-  /// flipped bits' H-matrix columns into the syndrome and reads the
-  /// decode outcome from a per-syndrome LUT. `data_mask` holds the
-  /// flipped data bits (0..63), `check_mask` the flipped check bits
-  /// c0..c7. Exactly equivalent to encode(x) -> flip -> decode for every
-  /// x (linearity); this is the Monte-Carlo campaign's fast path, with
-  /// encode/flip/decode kept as the oracle it is tested against.
+  /// flipped bits' H-matrix columns into the syndrome (eight byte-table
+  /// lookups, the fold_syndromes kernel) and reads the decode outcome
+  /// from a per-syndrome LUT. `data_mask` holds the flipped data bits
+  /// (0..63), `check_mask` the flipped check bits c0..c7. Exactly
+  /// equivalent to encode(x) -> flip -> decode for every x (linearity);
+  /// the campaign engines call it at the point a >= 3-bit pattern is
+  /// struck, with encode/flip/decode kept as the oracle it is tested
+  /// against.
   static PatternDecode classify_pattern(std::uint64_t data_mask,
                                         std::uint8_t check_mask) noexcept;
 
-  /// What the Hsiao decode rule does for one 8-bit syndrome value: the
-  /// decode status plus the data-bit correction mask it would apply.
-  /// Row `s` of syndrome_table() fully determines the outcome of any
-  /// error pattern folding to syndrome `s` (combined with the pattern's
-  /// own data mask for the residual).
-  struct SyndromeDecode {
-    DecodeStatus status = DecodeStatus::Clean;
-    std::uint64_t correction_mask = 0;
-  };
-
-  /// The 256-entry syndrome decode LUT classify_pattern reads, exposed
-  /// so batch classifiers can map whole arrays of folded syndromes to
-  /// outcomes without a per-pattern call.
-  static const std::array<SyndromeDecode, 256>& syndrome_table() noexcept;
-
-  // --- Batch entry points (docs/performance.md, "Batched classification").
-
   /// Folds `count` error patterns into their 8-bit syndromes:
   /// syndromes[i] = syndrome of (data_masks[i], check_masks[i]), via
-  /// eight byte-table lookups per pattern. Safe to call concurrently.
+  /// the same eight byte-table lookups per pattern classify_pattern
+  /// makes. Safe to call concurrently. The campaign engines classify
+  /// one pattern at a time; this array form is what the fold kernel
+  /// benchmarks time.
   static void fold_syndromes(const std::uint64_t* data_masks,
                              const std::uint8_t* check_masks,
                              std::size_t count,
                              std::uint8_t* syndromes) noexcept;
-
-  /// classify_pattern over arrays: out[i] == classify_pattern(
-  /// data_masks[i], check_masks[i]) for every i, computed via
-  /// fold_syndromes plus the syndrome LUT.
-  static void classify_pattern_batch(const std::uint64_t* data_masks,
-                                     const std::uint8_t* check_masks,
-                                     std::size_t count,
-                                     PatternDecode* out) noexcept;
 
   /// Name of the fold kernel: always "scalar". Benchmark reports print
   /// it next to their figures.
@@ -98,6 +77,15 @@ class SecDedCodec {
   static std::uint8_t column(std::uint32_t data_bit) noexcept;
 
  private:
+  /// What the Hsiao decode rule does for one 8-bit syndrome value: the
+  /// decode status plus the data-bit correction mask it would apply.
+  /// Row `s` of the 256-entry LUT classify_pattern reads fully
+  /// determines the outcome of any error pattern folding to syndrome
+  /// `s` (combined with the pattern's own data mask for the residual).
+  struct SyndromeDecode {
+    DecodeStatus status = DecodeStatus::Clean;
+    std::uint64_t correction_mask = 0;
+  };
   struct Tables;
   static const Tables& tables() noexcept;
 };

@@ -1,5 +1,6 @@
 #include "ftspm/ecc/secded_codec.h"
 
+#include <array>
 #include <bit>
 
 #include "ftspm/util/bitops.h"
@@ -19,6 +20,10 @@ struct SecDedCodec::Tables {
   // (clean / single-bit correction / detected) plus the data-bit
   // correction mask, precomputed so classify_pattern is one table read.
   std::array<SyndromeDecode, 256> outcome{};
+  // byte_fold[j][b]: XOR of the columns guarding data bits 8j..8j+7
+  // selected by the bits of b, so a data mask folds into its syndrome
+  // with eight lookups whatever its weight.
+  std::uint8_t byte_fold[8][256] = {};
 
   Tables() {
     // Hsiao construction: take all 56 weight-3 bytes, then the first 8
@@ -49,17 +54,30 @@ struct SecDedCodec::Tables {
         outcome[s] = {DecodeStatus::Detected, 0};
       }
     }
+
+    for (std::uint32_t j = 0; j < 8; ++j) {
+      for (std::uint32_t b = 0; b < 256; ++b) {
+        std::uint8_t fold = 0;
+        for (std::uint32_t i = 0; i < 8; ++i)
+          if (b & (1u << i)) fold ^= columns[8 * j + i];
+        byte_fold[j][b] = fold;
+      }
+    }
+  }
+
+  /// Syndrome of the error pattern (data_mask, check_mask).
+  std::uint8_t fold(std::uint64_t d, std::uint8_t check_mask) const noexcept {
+    return static_cast<std::uint8_t>(
+        check_mask ^ byte_fold[0][d & 0xff] ^ byte_fold[1][(d >> 8) & 0xff] ^
+        byte_fold[2][(d >> 16) & 0xff] ^ byte_fold[3][(d >> 24) & 0xff] ^
+        byte_fold[4][(d >> 32) & 0xff] ^ byte_fold[5][(d >> 40) & 0xff] ^
+        byte_fold[6][(d >> 48) & 0xff] ^ byte_fold[7][(d >> 56) & 0xff]);
   }
 };
 
 const SecDedCodec::Tables& SecDedCodec::tables() noexcept {
   static const Tables t;
   return t;
-}
-
-const std::array<SecDedCodec::SyndromeDecode, 256>&
-SecDedCodec::syndrome_table() noexcept {
-  return tables().outcome;
 }
 
 std::uint8_t SecDedCodec::column(std::uint32_t data_bit) noexcept {
@@ -111,17 +129,21 @@ DecodeResult SecDedCodec::decode(const SecDedWord& word) noexcept {
 PatternDecode SecDedCodec::classify_pattern(std::uint64_t data_mask,
                                             std::uint8_t check_mask) noexcept {
   const auto& t = tables();
-  std::uint8_t syndrome = check_mask;
-  std::uint64_t bits = data_mask;
-  while (bits != 0) {
-    const int i = std::countr_zero(bits);
-    syndrome ^= t.columns[static_cast<std::size_t>(i)];
-    bits &= bits - 1;
-  }
-  const SyndromeDecode& o = t.outcome[syndrome];
+  const SyndromeDecode& o = t.outcome[t.fold(data_mask, check_mask)];
   return PatternDecode{o.status, o.correction_mask,
                        data_mask ^ o.correction_mask};
 }
+
+void SecDedCodec::fold_syndromes(const std::uint64_t* data_masks,
+                                 const std::uint8_t* check_masks,
+                                 std::size_t count,
+                                 std::uint8_t* syndromes) noexcept {
+  const auto& t = tables();
+  for (std::size_t i = 0; i < count; ++i)
+    syndromes[i] = t.fold(data_masks[i], check_masks[i]);
+}
+
+const char* SecDedCodec::fold_backend() noexcept { return "scalar"; }
 
 void SecDedCodec::flip_bit(SecDedWord& word, std::uint32_t bit) {
   FTSPM_REQUIRE(bit < kCodewordBits, "SEC-DED codeword bit out of range");

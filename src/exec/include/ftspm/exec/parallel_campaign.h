@@ -68,13 +68,11 @@ struct ExecConfig {
   std::string resume_path;
   /// Per-shard strikes between checkpoint writes.
   std::uint64_t checkpoint_interval = 1u << 20;
-  /// Scheduling granule: strikes a worker runs between bookkeeping
-  /// (progress, checkpoint, halt checks). Never affects results.
+  /// Scheduling granule: strikes a worker hands the chunk engine
+  /// between bookkeeping (progress, checkpoint, cancel checks), used
+  /// as given — the engines resolve every strike where it lands, so
+  /// any granule >= 1 runs the same strikes. Never affects results.
   std::uint64_t chunk_strikes = 1u << 16;
-  /// Testing hook: stop scheduling new chunks once this many strikes
-  /// completed globally (0 = run to completion). A halted run writes a
-  /// final checkpoint and reports complete() == false.
-  std::uint64_t halt_after = 0;
   /// Live telemetry (off unless out_path is set). Never affects
   /// results or deterministic artefacts.
   HeartbeatConfig heartbeat;
@@ -94,8 +92,9 @@ struct ExecConfig {
   /// Cooperative cancellation: workers poll this flag at chunk
   /// granularity and stop scheduling further chunks once it reads
   /// true. A cancelled run writes its final checkpoint and reports
-  /// complete() == false, exactly like a halt_after stop. Non-owning;
-  /// may be flipped from any thread.
+  /// complete() == false. Non-owning; may be flipped from any thread
+  /// (a CampaignConfig::progress callback can stop a run at a given
+  /// strike count this way).
   const std::atomic<bool>* cancel = nullptr;
   /// Wall-clock shard attribution: when set, each worker stamps its
   /// shard's task start and finish (ns since the runner launched the
@@ -110,11 +109,6 @@ struct ExecConfig {
 
   std::uint32_t effective_jobs() const noexcept;
   std::uint32_t effective_shards() const noexcept;
-  /// chunk_strikes rounded up to a whole number of campaign batch
-  /// blocks (kCampaignBatchWidth) so workers hand the batched engine
-  /// full blocks; tiny explicit granules (below one block) are kept
-  /// verbatim. Like chunk_strikes itself, never affects results.
-  std::uint64_t effective_chunk_strikes() const noexcept;
 };
 
 /// What a sharded run produced. `shard_results` holds per-shard

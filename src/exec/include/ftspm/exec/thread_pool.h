@@ -3,9 +3,9 @@
 // A fixed-size pool of worker threads draining one mutex-protected FIFO
 // task queue. Deliberately minimal: campaigns and suites decompose into
 // a known set of coarse tasks up front, so work stealing, priorities,
-// and dynamic resizing buy nothing here. Exceptions thrown by a task
-// are captured in its future and rethrown to the submitter —
-// `run_all` rethrows the first failure in *task order*, keeping error
+// and dynamic resizing buy nothing here. The one entry point is
+// `run_all`: it runs a batch of tasks, waits for every one of them,
+// and rethrows the first failure in *task order*, keeping error
 // reporting deterministic even when completion order is not.
 //
 // Determinism contract: the pool never influences results. Everything
@@ -18,8 +18,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -34,8 +34,8 @@ std::uint32_t default_jobs() noexcept;
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 = default_jobs()). A one-worker pool
-  /// spawns no thread: it runs every task on the submitting thread, in
-  /// submission order, before submit() returns.
+  /// spawns no thread: run_all runs every task on the calling thread,
+  /// in task order.
   explicit ThreadPool(std::uint32_t threads = 0);
   /// Drains the queue, then joins every worker.
   ~ThreadPool();
@@ -44,11 +44,12 @@ class ThreadPool {
 
   std::uint32_t size() const noexcept { return size_; }
 
-  /// Enqueues `fn`; the returned future rethrows whatever `fn` threw.
-  std::future<void> submit(std::function<void()> fn);
-
-  /// Submits every task, waits for all of them, and rethrows the first
-  /// (by task order) exception, if any.
+  /// Runs every task, waits for all of them, and rethrows the first
+  /// (by task order) exception, if any. Several threads may call it on
+  /// one pool at once; their batches share the queue. Each task's
+  /// exception is stored in that task's slot under the pool mutex the
+  /// caller waits on, after the worker has left its catch block, so
+  /// the caller owns every exception outright when it wakes.
   void run_all(std::vector<std::function<void()>> tasks);
 
   /// Cumulative wall-clock busy time of worker `i` (task execution
@@ -59,17 +60,33 @@ class ThreadPool {
   std::uint64_t total_busy_ns() const noexcept;
 
  private:
+  /// One run_all call: its tasks, one exception slot per task, and the
+  /// completion count (slots and count guarded by mutex_). Lives in the
+  /// caller's frame, which outlasts every task of the batch.
+  struct Batch {
+    std::vector<std::function<void()>> tasks;
+    std::vector<std::exception_ptr> errors;
+    std::size_t done = 0;
+  };
+  /// A queued task: index `index` of `batch`.
+  struct Job {
+    Batch* batch = nullptr;
+    std::size_t index = 0;
+  };
+
   void worker_loop(std::uint32_t index);
-  /// Runs `task`, booking its wall time to worker `index`.
-  void run_timed(std::uint32_t index,
-                 std::packaged_task<void()>& task) noexcept;
+  /// Runs `fn`, booking its wall time to worker `index`; returns what
+  /// it threw (null when it returned normally).
+  std::exception_ptr run_timed(std::uint32_t index,
+                               const std::function<void()>& fn) noexcept;
 
   std::uint32_t size_;
   std::vector<std::thread> workers_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> busy_ns_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<Job> queue_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       ///< queue_ non-empty, or stop_.
+  std::condition_variable done_cv_;  ///< some Batch::done advanced.
   bool stop_ = false;
 };
 

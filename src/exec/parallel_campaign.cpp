@@ -26,12 +26,6 @@ std::uint32_t ExecConfig::effective_shards() const noexcept {
   return shards == 0 ? std::max<std::uint32_t>(effective_jobs(), 1) : shards;
 }
 
-std::uint64_t ExecConfig::effective_chunk_strikes() const noexcept {
-  if (chunk_strikes < kCampaignBatchWidth) return chunk_strikes;
-  const std::uint64_t rem = chunk_strikes % kCampaignBatchWidth;
-  return rem == 0 ? chunk_strikes : chunk_strikes + (kCampaignBatchWidth - rem);
-}
-
 namespace {
 
 /// Serializes the root progress callback across workers: counts are
@@ -56,10 +50,6 @@ class ProgressAggregator {
       return;
     last_reported_ = done;
     root_.progress(done, root_.strikes);
-  }
-
-  std::uint64_t done() const noexcept {
-    return done_.load(std::memory_order_relaxed);
   }
 
   /// Called once by the coordinator after the pool joined.
@@ -310,7 +300,6 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                      : exec.checkpoint_path;
   CheckpointWriter checkpoints(std::move(cp), write_path);
   ProgressAggregator progress(root, already_done);
-  std::atomic<bool> halted{false};
 
   // Simulated-time lifecycle records; coordinator-only, so the log for
   // a fixed (seed, strikes, shard_count, chunk schedule) is identical
@@ -351,8 +340,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     shard_done[i].store(initial_done[i], std::memory_order_relaxed);
     const std::uint64_t remaining = plan[i].config.strikes - initial_done[i];
-    const std::uint64_t granule = exec.effective_chunk_strikes();
-    chunks_total += (remaining + granule - 1) / granule;
+    chunks_total += (remaining + exec.chunk_strikes - 1) / exec.chunk_strikes;
   }
 
   // Wall-clock shard attribution (ExecConfig::shard_span): each worker
@@ -399,19 +387,12 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
         span_start[i].store(span_ns(), std::memory_order_relaxed);
       std::uint64_t since_checkpoint = 0;
       while (state.done < shard.config.strikes) {
-        if (exec.halt_after != 0 &&
-            progress.done() >= exec.halt_after) {
-          halted.store(true, std::memory_order_relaxed);
-          break;
-        }
         if (exec.cancel != nullptr &&
-            exec.cancel->load(std::memory_order_relaxed)) {
-          halted.store(true, std::memory_order_relaxed);
+            exec.cancel->load(std::memory_order_relaxed))
           break;
-        }
         const std::uint64_t before = state.done;
         const CampaignResult tally_before = state.partial;
-        run_chunk(shard, state, exec.effective_chunk_strikes(), grid);
+        run_chunk(shard, state, exec.chunk_strikes, grid);
         FTSPM_CHECK(state.done > before,
                     "campaign chunk runner made no progress");
         if (obs::enabled()) {

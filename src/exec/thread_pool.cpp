@@ -17,7 +17,7 @@ ThreadPool::ThreadPool(std::uint32_t threads)
   for (std::uint32_t i = 0; i < size_; ++i)
     busy_ns_[i].store(0, std::memory_order_relaxed);
   // A one-job pool is the serial case: it runs each task on the
-  // submitting thread, so a serial run pays for no thread start and no
+  // calling thread, so a serial run pays for no thread start and no
   // cross-core hand-off of the campaign's working set.
   if (size_ == 1) return;
   workers_.reserve(size_);
@@ -34,31 +34,30 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> fn) {
-  FTSPM_REQUIRE(static_cast<bool>(fn), "cannot submit an empty task");
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
-  if (workers_.empty()) {
-    run_timed(0, task);
-    return future;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    FTSPM_CHECK(!stop_, "submit on a stopped pool");
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::run_all(std::vector<std::function<void()>> tasks) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (std::function<void()>& t : tasks) futures.push_back(submit(std::move(t)));
-  // Wait for everything before rethrowing so no task is left running
-  // with dangling references to the caller's frame.
-  for (std::future<void>& f : futures) f.wait();
-  for (std::future<void>& f : futures) f.get();
+  for (const std::function<void()>& t : tasks)
+    FTSPM_REQUIRE(static_cast<bool>(t), "cannot run an empty task");
+  Batch batch;
+  batch.tasks = std::move(tasks);
+  const std::size_t n = batch.tasks.size();
+  batch.errors.resize(n);
+  if (workers_.empty()) {
+    for (std::size_t i = 0; i < n; ++i)
+      batch.errors[i] = run_timed(0, batch.tasks[i]);
+  } else if (n != 0) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      FTSPM_CHECK(!stop_, "run_all on a stopped pool");
+      for (std::size_t i = 0; i < n; ++i) queue_.push_back(Job{&batch, i});
+    }
+    cv_.notify_all();
+    // Wait for everything before rethrowing so no task is left running
+    // with dangling references to the caller's frame.
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] { return batch.done == n; });
+  }
+  for (const std::exception_ptr& error : batch.errors)
+    if (error) std::rethrow_exception(error);
 }
 
 std::uint64_t ThreadPool::worker_busy_ns(std::uint32_t i) const noexcept {
@@ -75,26 +74,41 @@ std::uint64_t ThreadPool::total_busy_ns() const noexcept {
 
 void ThreadPool::worker_loop(std::uint32_t index) {
   for (;;) {
-    std::packaged_task<void()> task;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
+      job = queue_.front();
       queue_.pop_front();
     }
-    run_timed(index, task);
+    std::exception_ptr error =
+        run_timed(index, job.batch->tasks[job.index]);
+    {
+      // The batch may be gone the moment this lock drops: the slot and
+      // the count are the last things this worker touches.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      job.batch->errors[job.index] = std::move(error);
+      ++job.batch->done;
+    }
+    done_cv_.notify_all();
   }
 }
 
-void ThreadPool::run_timed(std::uint32_t index,
-                           std::packaged_task<void()>& task) noexcept {
+std::exception_ptr ThreadPool::run_timed(
+    std::uint32_t index, const std::function<void()>& fn) noexcept {
   const auto start = std::chrono::steady_clock::now();
-  task();  // exceptions land in the task's future
+  std::exception_ptr error;
+  try {
+    fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - start);
   busy_ns_[index].fetch_add(static_cast<std::uint64_t>(ns.count()),
                             std::memory_order_relaxed);
+  return error;
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,

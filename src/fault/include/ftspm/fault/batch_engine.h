@@ -1,13 +1,14 @@
-// Internal machinery of the batched campaign engines.
+// Internal machinery of the campaign chunk engines.
 //
-// PR 8's static-campaign engine (injector_batch.cpp) replaced the
+// The static-campaign engine (injector_batch.cpp) replaces the
 // per-strike FP draw pipeline with exact integer-domain equivalents:
 // region picks as compares against precomputed subtract-scan
 // breakpoints, Bernoulli trials as compares against ceil(p * 2^53),
-// and flip multiplicities as compares against cumulative cutoffs. The
-// live-array recovery and temporal campaigns batch their hot loops on
-// the same machinery, so the shared pieces live here. Everything in
-// ftspm::detail is an implementation detail of the campaign engines —
+// and flip multiplicities as compares against cumulative cutoffs, all
+// built once per chunk. The live-array recovery and temporal campaigns
+// run their strike loops on the same machinery, so the shared pieces
+// live here. Every engine resolves each strike where it lands, in one
+// pass; nothing is parked between strikes. Everything in ftspm::detail is an implementation detail of the campaign engines —
 // not API — but the equivalences are load-bearing: each helper is
 // bit-identical to the Rng primitive it replaces (see
 // docs/performance.md, "Integer-domain draws", and
@@ -29,9 +30,6 @@ namespace detail {
 /// One draw past the largest value next_double() can yield: draw bits
 /// (x >> 11) live in [0, 2^53).
 inline constexpr std::uint64_t kDrawBitsEnd = std::uint64_t{1} << 53;
-
-/// class_lut value 4: only the real syndrome fold can classify.
-inline constexpr std::uint8_t kDeferClass = 4;
 
 /// ceil(p * 2^53), the integer-domain image of a [0, 1] probability:
 /// `next_double() < p  <=>  (x >> 11) < ceil(p * 2^53)`. The product
@@ -164,37 +162,29 @@ inline std::uint32_t sample_flips_draw(Rng& rng, const FlipCutoffs& c,
 void build_region_table(const std::vector<InjectionRegion>& regions,
                         CampaignScratch::Batch& batch);
 
-/// Classifies one strike through the batch engine's fast / straddle /
-/// general paths against the region table entry `R`, pushing deferred
-/// SEC-DED patterns onto scratch.batch.fold_* under `slot` and
-/// returning the inline worst outcome (StrikeOutcome values; deferred
-/// words can never resolve to Masked). Burns exactly one next_u64 per
-/// struck codeword — the documented RNG contract. The caller owns the
-/// ACE-occupancy draw: `R.ace_occupancy` must be 1.0 (no draw taken
-/// here), which is how the temporal campaign applies its per-span ACE
-/// fractions after classification. Immune regions early-out with no
-/// draw at all. A thin wrapper over the classifier the static engine
-/// inlines into its strike loop (injector_batch.cpp).
+/// Pre-ACE outcome of one struck codeword from its error pattern alone
+/// (the codecs are linear, so stored data never matters): what
+/// classify_strike decides per word, without its draw. `check_mask`
+/// holds the flipped check bits shifted down to bit 0 (cast to 8 bits
+/// for SEC-DED); Immune words are Masked. Parity is one parity64 of the
+/// pattern, SEC-DED one SecDedCodec::classify_pattern call.
+StrikeOutcome word_outcome(ProtectionKind protection, std::uint64_t data_mask,
+                           std::uint32_t check_mask);
+
+/// Classifies one strike through the static engine's fast / straddle
+/// / general paths against the region table entry `R` and returns its
+/// pre-ACE worst outcome (StrikeOutcome values), >= 3-bit SEC-DED
+/// patterns included — they are resolved through
+/// SecDedCodec::classify_pattern on the spot. Burns exactly one
+/// next_u64 per struck codeword — the documented RNG contract. The
+/// caller owns the ACE-occupancy draw: `R.ace_occupancy` must be 1.0
+/// (no draw taken here), which is how the temporal campaign applies its
+/// per-span ACE fractions after classification. Immune regions
+/// early-out with no draw at all. A thin wrapper over the classifier
+/// the static engine inlines into its strike loop (injector_batch.cpp).
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
-                                   std::uint32_t slot, std::uint64_t origin,
-                                   std::uint32_t flips);
-
-/// Sizes the per-slot arrays of `batch` to its width and empties the
-/// fold list; returns the width. Throws unless width >= 1. Call once per
-/// chunk, before the first block.
-std::uint32_t begin_blocks(CampaignScratch::Batch& batch);
-
-/// Stages 2 and 3 of one block of `block` strikes, shared by the static
-/// and temporal engines once stage 1 filled batch.region_of / origin /
-/// outcome (pre-ACE) / ace_keep and parked the deferred SEC-DED
-/// patterns in batch.fold_*: one fold_syndromes pass max-merged into
-/// the owning slots, the ACE keep applied as a multiply, the outcomes
-/// tallied into `partial` (strikes included), and — when `grid` is
-/// non-null — every strike recorded at its origin. Leaves the fold list
-/// empty for the next block. Draws nothing.
-void finish_block(CampaignScratch::Batch& batch, std::uint32_t block,
-                  CampaignResult& partial, SensitivityGrid* grid);
+                                   std::uint64_t origin, std::uint32_t flips);
 
 }  // namespace detail
 }  // namespace ftspm

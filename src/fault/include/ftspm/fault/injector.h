@@ -87,14 +87,7 @@ struct CampaignResult {
 
 class SensitivityGrid;
 
-/// Strikes per block of the batched campaign engine: generation,
-/// syndrome folding, and tallying each sweep arrays of this many
-/// strikes (docs/performance.md, "Batched classification"). Block size
-/// is pure scheduling — any width yields bit-identical results — and
-/// tests pin that by overriding CampaignScratch::Batch::width.
-inline constexpr std::uint32_t kCampaignBatchWidth = 256;
-
-/// Per-region constants the batched engine derives from an
+/// Per-region constants the campaign engines derive from an
 /// InjectionRegion once per chunk: geometry scalars hoisted out of the
 /// strike loop plus exact magic-multiply dividers for the bit -> (word,
 /// bit-in-codeword) aim arithmetic.
@@ -133,7 +126,8 @@ struct BatchRegionInfo {
   std::uint64_t ace_bits = 0;
   /// Word-pattern outcome LUT for the fast path, indexed by
   /// min(popcount, 3) * 2 + parity: StrikeOutcome values 0..3, or 4 =
-  /// defer to the batched SEC-DED syndrome fold. A single-group strike
+  /// a SEC-DED pattern only its real syndrome can classify (resolved
+  /// on the spot by SecDedCodec::classify_pattern). A single-group strike
   /// flips a contiguous run of bits, so its pattern weight IS the run
   /// length and the lookup needs no mask materialization at all.
   std::uint8_t class_lut[8] = {};
@@ -143,10 +137,10 @@ struct BatchRegionInfo {
 /// records each strike's per-word hits in the fixed inline array
 /// (`flips <= kInlineHits` covers any realistic CampaignConfig::
 /// max_flips) and only falls back to the heap — once, then reusing the
-/// buffer — beyond it, and the chunk loop keeps its batch workspace
-/// here across calls; together the campaign inner loop performs
-/// no per-strike allocation. Scratch is pure workspace: it never
-/// affects results and is not checkpointed.
+/// buffer — beyond it, and the chunk loop keeps its region tables here
+/// across calls; together the campaign inner loop performs no
+/// per-strike allocation. Scratch is pure workspace: it never affects
+/// results and is not checkpointed.
 struct CampaignScratch {
   static constexpr std::uint32_t kInlineHits = 64;
   /// (word index, bit-in-codeword) hits of the strike being classified.
@@ -155,26 +149,17 @@ struct CampaignScratch {
   /// flips; cleared, not shrunk, so it allocates at most once.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> spill;
 
-  /// Structure-of-arrays workspace of the batched chunk engines (the
-  /// static run_campaign_chunk and core's temporal campaign). One
-  /// block of `width` strikes at a time, the engine fills the
-  /// per-strike arrays sequentially from the shard RNG (preserving the
-  /// documented draw order exactly), parks every >= 3-bit SEC-DED word
-  /// pattern in the fold_* arrays, and detail::finish_block resolves
-  /// those with one batched SecDedCodec::fold_syndromes call, then
-  /// tallies the block. All vectors are sized on first use and reused
-  /// for the whole campaign.
+  /// Per-chunk tables of the chunk engines (the static
+  /// run_campaign_chunk and core's temporal campaign), rebuilt by
+  /// detail::build_region_table at the start of every chunk with their
+  /// capacity kept for the whole campaign. The strike loop reads them
+  /// and resolves every strike where it lands; nothing is parked here
+  /// between strikes.
   struct Batch {
-    /// Block width, >= 1. kCampaignBatchWidth for real campaigns; tests
-    /// set other values (down to 1) to pin width-invariance of results.
-    std::uint32_t width = kCampaignBatchWidth;
-
-    /// Region constant table + total pick weight, rebuilt per chunk.
+    /// Region constant table, rebuilt per chunk.
     std::vector<BatchRegionInfo> regions;
-    /// Compact copy of the pick weights (the discrete-pick scan walks
-    /// one cache line instead of striding through BatchRegionInfo).
+    /// Compact copy of the pick weights build_pick_bits scans.
     std::vector<double> weights;
-    double total_weight = 0.0;
     /// Region-pick breakpoints in draw-bits space: pick_bits[k] is the
     /// smallest u_bits = x >> 11 whose subtract-scan partial k is
     /// non-negative (2^53 when none is). Every partial is monotone in
@@ -186,20 +171,6 @@ struct CampaignScratch {
     /// Index next_discrete's underflow fallback resolves to (the last
     /// positive weight), precomputed per chunk.
     std::size_t pick_fallback = 0;
-
-    // Per-strike arrays, indexed by slot in the current block.
-    std::vector<std::uint32_t> region_of;
-    std::vector<std::uint64_t> origin;
-    std::vector<std::uint8_t> outcome;   ///< StrikeOutcome, pre-ACE.
-    std::vector<std::uint8_t> ace_keep;  ///< 0 = ACE draw masked it.
-
-    // Deferred SEC-DED word patterns of the block (strike `fold_slot`
-    // contributed pattern (fold_data, fold_check)); resolved by the
-    // batched syndrome fold into fold_syndrome.
-    std::vector<std::uint64_t> fold_data;
-    std::vector<std::uint8_t> fold_check;
-    std::vector<std::uint32_t> fold_slot;
-    std::vector<std::uint8_t> fold_syndrome;
   };
   Batch batch;
 };

@@ -156,15 +156,10 @@ struct RecoveryShardSide {
   /// Struck-word scratch of run_chunk (cleared per strike, capacity
   /// kept across chunks). Pure workspace, never checkpointed.
   std::vector<std::uint64_t> touched;
-  /// Batched-engine scratch (recovery_batch.cpp): the scrub sweep's
-  /// clean-word bitmap plus the gathered (word index, data mask, check
-  /// mask, syndrome) SoA of words headed for a batched classify. Pure
-  /// workspace like `touched`.
+  /// The scrub sweep's dirty-word bitmap (recovery_batch.cpp): one bit
+  /// per word of the region being swept, each set bit resolved in
+  /// place. Pure workspace like `touched`.
   std::vector<std::uint64_t> batch_bitmap;
-  std::vector<std::uint64_t> batch_words;
-  std::vector<std::uint64_t> batch_data;
-  std::vector<std::uint8_t> batch_check;
-  std::vector<std::uint8_t> batch_syndrome;
 };
 
 /// Immutable shared context of a live-array campaign. Safe to share
@@ -195,13 +190,12 @@ class LiveArrayCampaign {
   /// see fault/sensitivity.h) records each strike's origin and final
   /// outcome without affecting results.
   ///
-  /// This is the batched engine (recovery_batch.cpp): integer-domain
-  /// aim draws over per-chunk region tables, XOR-mask flip scatter,
-  /// demand decode and scrub sweeps through the batched ECC entry
-  /// points. Counters, images, grids, and the RNG
-  /// stream are bit-identical to the strike-at-a-time reference loop
-  /// (tests/support/campaign_oracles.h) — pinned by
-  /// tests/fault/batch_engine_test.cpp.
+  /// The engine (recovery_batch.cpp) runs integer-domain aim draws
+  /// over per-chunk region tables, scatters flips as XOR masks, and
+  /// classifies each demand-read or scrubbed word in place. Counters,
+  /// images, grids, and the RNG stream are bit-identical to the
+  /// strike-at-a-time reference loop (tests/support/campaign_oracles.h)
+  /// — pinned by tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;
@@ -223,7 +217,7 @@ class LiveArrayCampaign {
     Silent,         ///< Wrong value consumed without detection.
   };
 
-  /// Per-chunk constants of the batched engine (recovery_batch.cpp):
+  /// Per-chunk constants of the strike loop (recovery_batch.cpp):
   /// region tables with integer-domain draw thresholds and precomputed
   /// repair costs, region-pick breakpoints, flip cutoffs.
   struct BatchTables;

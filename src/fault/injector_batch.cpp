@@ -1,53 +1,49 @@
-// Batched structure-of-arrays campaign engine (run_campaign_chunk).
+// The static campaign engine (run_campaign_chunk).
 //
-// A strike-at-a-time loop spends most of its cycles on per-strike call
-// and branch overhead: re-validated weight tables, hardware divides for
-// the aim arithmetic, a generic per-word classify call. This engine
-// processes strikes in blocks of CampaignScratch::Batch::width, with
-// one strike loop for every region mix, grid or no grid:
+// A strike-at-a-time loop through classify_strike spends most of its
+// cycles on per-strike call and branch overhead: re-validated weight
+// tables, hardware divides for the aim arithmetic, a generic per-word
+// classify call. This engine keeps the strike-at-a-time shape — one
+// pass, every strike resolved where it lands — but derives everything
+// per chunk that the per-strike code recomputed:
 //
-//  stage 1 — sequential generation + LUT classification. Each slot
-//      draws its region, origin, and flip count from the shard RNG in
-//      EXACTLY the documented per-strike order (docs/performance.md),
-//      then classify_strike_block aims the flips with precomputed
-//      magic-multiply dividers, classifies via the 8-entry
-//      (min(popcount, 3), parity) region LUT, and takes the region's
-//      ACE-occupancy draw in stream position. A single-group strike
-//      flips a contiguous run of bits, so its pattern weight IS the run
-//      length: the common case needs no mask materialization, no
-//      popcount — one table byte indexed by the group length. Masks are
-//      built only for the ~2% of SEC-DED patterns parked in the fold
-//      arrays, and for the rare shapes handled out of line (codeword
-//      straddles, interleaved aim, exotic check-bit geometries). A
-//      fast-path strike is never Masked pre-ACE (>= 1 surviving bit
-//      always corrupts or trips a check, and deferred patterns can
-//      never fold clean), so the draw predicate needs no classify
-//      result.
-//  stages 2 and 3 — detail::finish_block, shared with the temporal
-//      engine: one SecDedCodec::fold_syndromes call resolves every
-//      deferred pattern of the block through the 256-entry syndrome
-//      LUT, then the ACE keep applies as a multiply, the block tallies
-//      into register counters, and the sensitivity grid (if any)
-//      records each strike.
+//  * each strike draws its region, origin, and flip count from the
+//    shard RNG in EXACTLY the documented per-strike order
+//    (docs/performance.md), against integer-domain tables built once
+//    per chunk;
+//  * classify_strike_block aims the flips with precomputed
+//    magic-multiply dividers, classifies via the 8-entry
+//    (min(popcount, 3), parity) region LUT, and takes the region's
+//    ACE-occupancy draw in stream position. A single-group strike flips
+//    a contiguous run of bits, so its pattern weight IS the run length:
+//    the common case needs no mask, no popcount — one table byte
+//    indexed by the run length. Masks are built only for the ~2% of
+//    SEC-DED patterns whose outcome needs the real syndrome (resolved
+//    on the spot by SecDedCodec::classify_pattern), and for the rare
+//    shapes handled out of line (codeword straddles, interleaved aim,
+//    exotic check-bit geometries). A fast-path strike is never Masked
+//    pre-ACE (>= 1 surviving bit always corrupts or trips a check), so
+//    its ACE draw needs no classify result;
+//  * the ACE keep applies as a multiply, the strike tallies into
+//    register counters, and the sensitivity grid (if any) records it.
 //
-// Two rules keep this one loop as fast as a register-only tally loop
-// (docs/performance.md, "One strike loop"): classify_strike_block is
-// forced inline into the strike loop, and its out-of-line paths draw
-// from a copy of the generator, so the loop's own generator never has
-// its address taken and stays in registers. The temporal engine
-// reaches the same classifier through the exported
-// detail::classify_batch_strike wrapper.
+// Two rules keep the loop fast (docs/performance.md, "One strike
+// loop"): classify_strike_block is forced inline into the strike loop,
+// and its out-of-line paths draw from a copy of the generator, so the
+// loop's own generator never has its address taken and stays in
+// registers. The temporal engine reaches the same classifier through
+// the exported detail::classify_batch_strike wrapper.
 //
 // The draw-domain primitives (integer-image Bernoulli/discrete picks,
 // flip cutoffs, the region table build) live in
-// ftspm/fault/batch_engine.h and are shared with the batched recovery
-// and temporal engines (recovery_batch.cpp, system_campaign_batch.cpp);
+// ftspm/fault/batch_engine.h and are shared with the recovery and
+// temporal engines (recovery_batch.cpp, system_campaign_batch.cpp);
 // the non-trivial ones are defined at the bottom of this file.
 //
 // Equivalence contract: identical counters, grids, and RNG stream
 // position to the per-strike loop for every (regions, strikes, config,
-// chunking, block width) — pinned by tests/fault/batch_engine_test.cpp
-// against classify_strike and end to end by the CampaignGolden suite
+// chunking) — pinned by tests/fault/batch_engine_test.cpp against
+// classify_strike and end to end by the CampaignGolden suite
 // (tests/integration/campaign_golden_test.cpp).
 #include <algorithm>
 #include <bit>
@@ -55,23 +51,24 @@
 #include <cstdint>
 #include <utility>
 
-#include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/sensitivity.h"
-#include "ftspm/util/bitops.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
 
 using detail::group_masks;
 using detail::GroupMasks;
-using detail::kDeferClass;
 using detail::kDrawBitsEnd;
 using detail::pick_region;
 using detail::prob_to_draw_bits;
 
 namespace {
+
+/// class_lut value for a SEC-DED run of >= 3 bits: only the real
+/// syndrome can classify it.
+constexpr std::uint8_t kSyndromeClass = 4;
 
 /// Mask of data-word bits [lo, hi), hi <= 64, lo < hi.
 inline std::uint64_t range_mask64(std::uint32_t lo, std::uint32_t hi) {
@@ -96,7 +93,7 @@ inline std::uint32_t range_mask32(std::uint32_t lo, std::uint32_t hi) {
 ///    Sdc. Extra check bits would alias flips the parity check cannot
 ///    see (b = 2 with even parity can then be either Masked or Sdc).
 ///  * SEC-DED with <= 8 check bits: the uint8 check cast is faithful,
-///    so 1 bit corrects, 2 bits detect, >= 3 defer to the fold.
+///    so 1 bit corrects, 2 bits detect, >= 3 need the syndrome.
 bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
   switch (protection) {
     case ProtectionKind::None: return check_bits <= 8;
@@ -123,108 +120,42 @@ void build_class_lut(ProtectionKind protection, std::uint8_t (&lut)[8]) {
         cls = b == 0   ? static_cast<std::uint8_t>(StrikeOutcome::Masked)
               : b == 1 ? static_cast<std::uint8_t>(StrikeOutcome::Dre)
               : b == 2 ? static_cast<std::uint8_t>(StrikeOutcome::Due)
-                       : kDeferClass;
+                       : kSyndromeClass;
       }
       lut[b * 2 + syn] = cls;
     }
   }
 }
 
-/// StrikeOutcome of one folded SEC-DED word, decoded from its batched
-/// syndrome — the same verdict classify_pattern reaches one word at a
-/// time.
-inline std::uint8_t decode_fold_outcome(const SecDedCodec::SyndromeDecode& d,
-                                        std::uint64_t data_mask) {
-  switch (d.status) {
-    case DecodeStatus::Detected:
-      return static_cast<std::uint8_t>(StrikeOutcome::Due);
-    case DecodeStatus::Corrected:
-      return static_cast<std::uint8_t>(data_mask == d.correction_mask
-                                           ? StrikeOutcome::Dre
-                                           : StrikeOutcome::Sdc);
-    case DecodeStatus::Clean:
-    default:
-      return static_cast<std::uint8_t>(data_mask != 0 ? StrikeOutcome::Sdc
-                                                      : StrikeOutcome::Masked);
-  }
-}
-
-/// Outcome of one struck word decided from its error pattern's bit
-/// counts alone, or Deferred when only the real SEC-DED syndrome can
-/// tell (>= 3 bits after the 8-bit check cast).
-enum class InlineWord : std::uint8_t {
-  Masked = 0,  // == StrikeOutcome values for the first four
-  Dre,
-  Due,
-  Sdc,
-  Deferred,
-};
-
-/// Per-word inline classification. Exactly classify_pattern's verdict
-/// for every case it decides (see tests/fault/batch_engine_test.cpp):
-///  * None: any flipped bit is silent corruption;
-///  * parity: one parity fold of the pattern;
-///  * SEC-DED by popcount of (data, uint8 check) — 0 bits survive the
-///    cast only on exotic geometries (check_bits > 8) and alias to a
-///    clean word; 1 bit is always corrected (odd-weight columns);
-///    2 bits XOR two distinct odd columns into a non-zero even-weight
-///    syndrome, always detected; >= 3 bits need the fold.
-inline InlineWord classify_word_inline(ProtectionKind protection,
-                                       std::uint64_t data_mask,
-                                       std::uint32_t check_mask) {
-  switch (protection) {
-    case ProtectionKind::Immune:
-      return InlineWord::Masked;  // unreachable: immune strikes early-out
-    case ProtectionKind::None:
-      return (data_mask | check_mask) != 0 ? InlineWord::Sdc
-                                           : InlineWord::Masked;
-    case ProtectionKind::Parity: {
-      if ((parity64(data_mask) ^ (check_mask & 1)) != 0)
-        return InlineWord::Due;
-      return data_mask != 0 ? InlineWord::Sdc : InlineWord::Masked;
-    }
-    case ProtectionKind::SecDed: {
-      const auto check8 = static_cast<std::uint8_t>(check_mask);
-      const int bits = std::popcount(data_mask) + std::popcount(
-                           static_cast<std::uint32_t>(check8));
-      if (bits >= 3) return InlineWord::Deferred;
-      if (bits == 2) return InlineWord::Due;
-      if (bits == 1) return InlineWord::Dre;
-      return InlineWord::Masked;
-    }
-  }
-  throw InvalidArgument("unknown protection kind");
+/// Outcome of the contiguous run [lo, hi) of one codeword of a fast
+/// SEC-DED region when the LUT cannot tell (>= 3 bits): the real
+/// syndrome decides. Out of line: the strike loop only pays for the
+/// call on the ~2% of strikes that take it.
+[[gnu::noinline]] std::uint8_t secded_run_outcome(std::uint32_t lo,
+                                                  std::uint32_t hi) {
+  const GroupMasks gm = group_masks(lo, hi);
+  return static_cast<std::uint8_t>(
+      detail::word_outcome(ProtectionKind::SecDed, gm.data, gm.check));
 }
 
 /// The general per-strike path: interleaved regions, exotic check-bit
 /// geometries, and Immune-adjacent cases the LUT cannot decide. Kept
 /// out of line so the dominant fast path compiles to a small loop body
 /// with no spills from this machinery; identical RNG draws and
-/// outcomes to the per-strike classifier. Returns the inline worst
-/// outcome; deferred words ride the fold arrays under `slot`.
+/// outcomes to the per-strike classifier. Returns the strike's pre-ACE
+/// worst outcome.
 [[gnu::noinline]] std::uint8_t classify_general_strike(
     const BatchRegionInfo& R, Rng& rng, CampaignScratch& scratch,
-    std::uint32_t slot, std::uint64_t origin, std::uint32_t flips,
-    std::uint8_t& ace_keep_out) {
-  CampaignScratch::Batch& batch = scratch.batch;
+    std::uint64_t origin, std::uint32_t flips, std::uint8_t& ace_keep_out) {
   const std::uint32_t cw = R.codeword_bits;
-  InlineWord worst = InlineWord::Masked;
-  bool deferred = false;
+  StrikeOutcome worst = StrikeOutcome::Masked;
   const auto note_word = [&](std::uint64_t data_mask,
                              std::uint32_t check_mask) {
     // One draw per struck codeword — the retained oracle draw the
     // RNG contract pins (docs/performance.md).
     (void)rng.next_u64();
-    const InlineWord w =
-        classify_word_inline(R.protection, data_mask, check_mask);
-    if (w == InlineWord::Deferred) {
-      deferred = true;
-      batch.fold_data.push_back(data_mask);
-      batch.fold_check.push_back(static_cast<std::uint8_t>(check_mask));
-      batch.fold_slot.push_back(slot);
-    } else {
-      worst = std::max(worst, w);
-    }
+    worst = std::max(
+        worst, detail::word_outcome(R.protection, data_mask, check_mask));
   };
 
   if (R.interleave <= 1) {
@@ -299,11 +230,9 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
     }
   }
 
-  // ACE draw, in stream position: the old loop drew exactly when
-  // the pre-ACE outcome was not Masked. Deferred words can never
-  // resolve to Masked (their non-zero pattern either trips the
-  // syndrome or corrupts data), so the predicate is known here.
-  if (worst != InlineWord::Masked || deferred)
+  // ACE draw, in stream position: exactly when the pre-ACE outcome is
+  // not Masked, like the per-strike loop.
+  if (worst != StrikeOutcome::Masked)
     ace_keep_out = rng.next_bool(R.ace_occupancy) ? 1 : 0;
   else
     ace_keep_out = 1;
@@ -311,14 +240,13 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
 }
 
 /// Fast-path strike that straddles codeword boundaries (< 1% of
-/// strikes at realistic word sizes): split into per-word runs,
-/// classify each through the region LUT, park defers. Out of line for
-/// the same reason as classify_general_strike; returns the inline
-/// worst. Draw order matches the inline path — one burned draw per
-/// struck codeword, in address order.
+/// strikes at realistic word sizes): split into per-word runs and
+/// classify each through the region LUT. Out of line for the same
+/// reason as classify_general_strike; returns the pre-ACE worst. Draw
+/// order matches the inline path — one burned draw per struck
+/// codeword, in address order.
 [[gnu::noinline]] std::uint8_t classify_straddle_strike(
-    const BatchRegionInfo& R, Rng& rng, CampaignScratch::Batch& batch,
-    std::uint32_t slot, std::uint32_t bit, std::uint64_t m) {
+    const BatchRegionInfo& R, Rng& rng, std::uint32_t bit, std::uint64_t m) {
   const std::uint32_t cw = R.codeword_bits;
   std::uint8_t worst = 0;
   std::uint64_t remaining = m;
@@ -329,14 +257,11 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
     const GroupMasks gm = group_masks(bit, bit + len);
     const auto b = static_cast<std::uint32_t>(std::popcount(gm.data) +
                                               std::popcount(gm.check));
-    const std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-    if (cls == kDeferClass) {
-      batch.fold_data.push_back(gm.data);
-      batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-      batch.fold_slot.push_back(slot);
-    } else {
-      worst = std::max(worst, cls);
-    }
+    std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
+    if (cls == kSyndromeClass)
+      cls = static_cast<std::uint8_t>(
+          detail::word_outcome(ProtectionKind::SecDed, gm.data, gm.check));
+    worst = std::max(worst, cls);
     remaining -= len;
     bit = 0;
   }
@@ -344,13 +269,11 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
 }
 
 /// One strike's pre-ACE worst outcome plus its ACE keep flag, drawn in
-/// stream position after the classify burns. Deferred words ride the
-/// fold arrays under `slot` (inline worst 0). Forced inline: the static
+/// stream position after the classify burns. Forced inline: the static
 /// strike loop's speed depends on it (see the file comment).
 [[gnu::always_inline]] inline std::uint8_t classify_strike_block(
     const BatchRegionInfo& R, Rng& rng, CampaignScratch& scratch,
-    std::uint32_t slot, std::uint64_t origin, std::uint32_t flips,
-    std::uint8_t& keep) {
+    std::uint64_t origin, std::uint32_t flips, std::uint8_t& keep) {
   if (R.protection == ProtectionKind::Immune) {
     // classify_strike early-outs before any word draw, and a Masked
     // outcome takes no ACE draw.
@@ -358,7 +281,6 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
     return static_cast<std::uint8_t>(StrikeOutcome::Masked);
   }
   if (R.fast) [[likely]] {
-    CampaignScratch::Batch& batch = scratch.batch;
     const std::uint32_t cw = R.codeword_bits;
     const std::uint64_t m =
         std::min<std::uint64_t>(flips, R.physical_bits - origin);
@@ -369,23 +291,18 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
       // One burned draw for the single struck codeword (the RNG
       // contract), then the LUT byte — the group is a contiguous run
       // of m bits, so its pattern weight is m and no mask ever
-      // materializes unless the verdict defers.
+      // materializes unless only the syndrome can tell.
       (void)rng.next_u64();
       const auto b = static_cast<std::uint32_t>(m);
       worst = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-      if (worst == kDeferClass) [[unlikely]] {
-        const GroupMasks gm = group_masks(bit, bit + b);
-        batch.fold_data.push_back(gm.data);
-        batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-        batch.fold_slot.push_back(slot);
-        worst = 0;
-      }
+      if (worst == kSyndromeClass) [[unlikely]]
+        worst = secded_run_outcome(bit, bit + b);
     } else {
       // The out-of-line paths draw from a copy: the strike loop's own
       // generator must never have its address taken, or it cannot stay
-      // in registers across the per-slot byte stores.
+      // in registers across the loop.
       Rng out_of_line = rng;
-      worst = classify_straddle_strike(R, out_of_line, batch, slot, bit, m);
+      worst = classify_straddle_strike(R, out_of_line, bit, m);
       rng = out_of_line;
     }
     // The ACE draw, unconditional for fast strikes (never Masked
@@ -399,8 +316,8 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
     return worst;
   }
   Rng out_of_line = rng;
-  const std::uint8_t worst = classify_general_strike(
-      R, out_of_line, scratch, slot, origin, flips, keep);
+  const std::uint8_t worst =
+      classify_general_strike(R, out_of_line, scratch, origin, flips, keep);
   rng = out_of_line;
   return worst;
 }
@@ -495,7 +412,6 @@ void build_region_table(const std::vector<InjectionRegion>& regions,
     weights.push_back(info.weight);
     table.push_back(info);
   }
-  batch.total_weight = total;
   build_pick_bits(weights, total, batch.pick_bits, batch.pick_fallback);
 }
 
@@ -522,77 +438,11 @@ FlipCutoffs make_flip_cutoffs(const StrikeMultiplicityModel& strikes,
 
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
-                                   std::uint32_t slot, std::uint64_t origin,
-                                   std::uint32_t flips) {
+                                   std::uint64_t origin, std::uint32_t flips) {
   // ace_occupancy is 1.0 by contract, so the ACE draw is a no-draw arm
   // and the keep flag is always 1.
   std::uint8_t keep = 1;
-  return classify_strike_block(R, rng, scratch, slot, origin, flips, keep);
-}
-
-std::uint32_t begin_blocks(CampaignScratch::Batch& batch) {
-  const std::uint32_t width = batch.width;
-  FTSPM_REQUIRE(width >= 1, "batch width must be >= 1");
-  batch.region_of.resize(width);
-  batch.origin.resize(width);
-  batch.outcome.resize(width);
-  batch.ace_keep.resize(width);
-  batch.fold_data.clear();
-  batch.fold_check.clear();
-  batch.fold_slot.clear();
-  return width;
-}
-
-void finish_block(CampaignScratch::Batch& batch, std::uint32_t block,
-                  CampaignResult& partial, SensitivityGrid* grid) {
-  std::uint8_t* const outcome_of = batch.outcome.data();
-  const std::uint8_t* const ace_keep_of = batch.ace_keep.data();
-
-  // ---- Stage 2: batched syndrome fold of the deferred patterns,
-  // max-merged into the owning slots.
-  if (!batch.fold_data.empty()) {
-    const std::size_t n = batch.fold_data.size();
-    batch.fold_syndrome.resize(n);
-    SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                batch.fold_check.data(), n,
-                                batch.fold_syndrome.data());
-    const auto& table = SecDedCodec::syndrome_table();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::uint8_t w = decode_fold_outcome(
-          table[batch.fold_syndrome[k]], batch.fold_data[k]);
-      std::uint8_t& slot_outcome = outcome_of[batch.fold_slot[k]];
-      slot_outcome = std::max(slot_outcome, w);
-    }
-    batch.fold_data.clear();
-    batch.fold_check.clear();
-    batch.fold_slot.clear();
-  }
-
-  // ---- Stage 3: ACE filter, bulk tally, grid sweep. The filter is a
-  // multiply (keep is 0/1 and Masked is 0) and the tally runs on
-  // register counters — no data-dependent branches, no store-forward
-  // chain through a memory histogram.
-  std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
-  for (std::uint32_t slot = 0; slot < block; ++slot) {
-    const auto o =
-        static_cast<std::uint8_t>(outcome_of[slot] * ace_keep_of[slot]);
-    outcome_of[slot] = o;
-    n_masked += o == 0;
-    n_dre += o == 1;
-    n_due += o == 2;
-    n_sdc += o == 3;
-  }
-  partial.strikes += block;
-  partial.masked += n_masked;
-  partial.dre += n_dre;
-  partial.due += n_due;
-  partial.sdc += n_sdc;
-
-  if (grid != nullptr) {
-    for (std::uint32_t slot = 0; slot < block; ++slot)
-      grid->record(batch.region_of[slot], batch.origin[slot],
-                   static_cast<StrikeOutcome>(outcome_of[slot]));
-  }
+  return classify_strike_block(R, rng, scratch, origin, flips, keep);
 }
 
 }  // namespace detail
@@ -603,9 +453,6 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         CampaignShardState& state, std::uint64_t max_strikes,
                         SensitivityGrid* grid) {
   FTSPM_REQUIRE(!regions.empty(), "campaign needs at least one region");
-  CampaignScratch::Batch& batch = state.scratch.batch;
-  const std::uint32_t width = detail::begin_blocks(batch);
-
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
   if (end <= state.done) {
@@ -613,45 +460,47 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
     return;
   }
 
+  CampaignScratch::Batch& batch = state.scratch.batch;
   detail::build_region_table(regions, batch);
   // Flip-count cutoffs in the draw-bits domain (see make_flip_cutoffs
   // for the exactness argument).
   const detail::FlipCutoffs cuts =
       detail::make_flip_cutoffs(strikes, config.max_flips);
 
-  // Hot-loop locals. The generator runs as a stack copy (written back
-  // once per chunk) and the SoA arrays as raw pointers: the outcome /
-  // ace_keep stores are byte stores, which the compiler must otherwise
-  // assume alias the RNG state and the vectors' own bookkeeping,
-  // forcing a reload of all four state words around every draw.
+  // Hot-loop locals: the generator runs as a stack copy (written back
+  // once per chunk), the tables as raw pointers, and the outcomes
+  // tally into register counters flushed once per chunk.
   Rng rng = state.rng;
   const BatchRegionInfo* const region_table = batch.regions.data();
   const std::uint64_t* const pick_breaks = batch.pick_bits.data();
   const std::size_t pick_fallback = batch.pick_fallback;
   const std::size_t region_count = batch.regions.size();
-  std::uint32_t* const region_of = batch.region_of.data();
-  std::uint64_t* const origin_of = batch.origin.data();
-  std::uint8_t* const outcome_of = batch.outcome.data();
-  std::uint8_t* const ace_keep_of = batch.ace_keep.data();
+  std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
 
-  for (std::uint64_t base = state.done; base < end; base += width) {
-    const auto block =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(width, end - base));
-    // ---- Stage 1: sequential generation + classification.
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      const std::size_t ri =
-          pick_region(rng, pick_breaks, region_count, pick_fallback);
-      const BatchRegionInfo& R = region_table[ri];
-      const std::uint64_t origin = rng.next_below(R.physical_bits);
-      const std::uint32_t flips =
-          detail::sample_flips_draw(rng, cuts, config.max_flips);
-      region_of[slot] = static_cast<std::uint32_t>(ri);
-      origin_of[slot] = origin;
-      outcome_of[slot] = classify_strike_block(R, rng, state.scratch, slot,
-                                               origin, flips, ace_keep_of[slot]);
-    }
-    detail::finish_block(batch, block, state.partial, grid);
+  for (std::uint64_t s = state.done; s < end; ++s) {
+    const std::size_t ri =
+        pick_region(rng, pick_breaks, region_count, pick_fallback);
+    const BatchRegionInfo& R = region_table[ri];
+    const std::uint64_t origin = rng.next_below(R.physical_bits);
+    const std::uint32_t flips =
+        detail::sample_flips_draw(rng, cuts, config.max_flips);
+    std::uint8_t keep;
+    const std::uint8_t worst =
+        classify_strike_block(R, rng, state.scratch, origin, flips, keep);
+    // The ACE filter is a multiply: keep is 0/1 and Masked is 0.
+    const auto o = static_cast<std::uint8_t>(worst * keep);
+    n_masked += o == 0;
+    n_dre += o == 1;
+    n_due += o == 2;
+    n_sdc += o == 3;
+    if (grid != nullptr)
+      grid->record(ri, origin, static_cast<StrikeOutcome>(o));
   }
+  state.partial.strikes += end - state.done;
+  state.partial.masked += n_masked;
+  state.partial.dre += n_dre;
+  state.partial.due += n_due;
+  state.partial.sdc += n_sdc;
   state.rng = rng;
   state.done = end;
 }

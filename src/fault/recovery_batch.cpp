@@ -1,10 +1,11 @@
-// Batched hot loop of the live-array recovery campaign.
+// Strike loop of the live-array recovery campaign.
 //
 // The strike-at-a-time reference loop (tests/support/campaign_oracles)
 // spends its time in per-strike FP draws (next_discrete's
-// subtract-scan, next_bool conversions), a locate_strike_bit divide per
-// flipped bit, and one classify_pattern call per decoded word. This file replays the identical campaign on
-// the batch engine (batch_engine.h):
+// subtract-scan, next_bool conversions) and a locate_strike_bit divide
+// per flipped bit. This file replays the identical campaign on the
+// static engine's machinery (batch_engine.h), resolving every struck
+// word where it is read:
 //
 //  * aim draws become integer compares against per-chunk tables —
 //    region-pick breakpoints, Bernoulli thresholds, flip cutoffs — each
@@ -12,34 +13,32 @@
 //  * an uninterleaved strike deposits its flips as one or two XOR
 //    masks (group_masks) instead of bit-by-bit locate calls, and the
 //    struck words come out ascending and unique for free;
-//  * demand decodes gather the touched words' error patterns
-//    (data ^ truth, check ^ truth_check) into a small SoA and resolve
-//    them through the batched codec entry points
-//    (SecDedCodec::fold_syndromes / ParityCodec::fold_parity) plus the
-//    syndrome LUT, instead of per-word classify_pattern calls;
+//  * a demand read takes the word's error pattern (data ^ truth,
+//    check ^ truth_check) and classifies it in place: 1- and 2-bit
+//    SEC-DED patterns by the distance-4 popcount shortcuts, parity by
+//    parity64, >= 3-bit SEC-DED patterns by SecDedCodec::
+//    classify_pattern;
 //  * a scrub sweep is a contiguous fold over each region's mask pair
 //    building a dirty-word bitmap — the overwhelmingly-clean words exit
-//    through an auto-vectorized compare, and only set bits are gathered
-//    for the batched classify.
+//    through an auto-vectorized compare, and each set bit is resolved
+//    in place.
 //
 // Equivalence contract: counters, images, grids, and the RNG stream
 // match the reference loop bit for bit, for every chunk schedule. The
 // draw schedule per strike is pick, origin, multiplicity, then per
 // struck word (ascending) one ACE Bernoulli, then (only inside a
 // detected-uncorrectable repair) one dirty-fraction Bernoulli;
-// classification itself never draws. Precomputing
-// every touched word's error pattern before the ACE walk is safe
-// because resolving word w only ever rewrites word w. The floating-
-// point energy accumulator sees the same additions in the same order
-// (bulk scrub costs first, then per-word events in word order), so
-// even recovery_energy_pj is bit-identical. Pinned by
+// classification itself never draws. Resolving word w only ever
+// rewrites word w, so each word's pattern reads the same whenever it is
+// taken. The floating-point energy accumulator sees the same additions
+// in the same order (bulk scrub costs first, then per-word events in
+// word order), so even recovery_energy_pj is bit-identical. Pinned by
 // tests/fault/batch_engine_test.cpp and the CampaignGolden suite.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/recovery.h"
@@ -49,7 +48,7 @@
 
 namespace ftspm {
 
-/// Per-chunk constants of the batched engine: every scalar resolve_word
+/// Per-chunk constants of the strike loop: every scalar resolve_word
 /// re-derived per word, hoisted to one cache-friendly row per region,
 /// with the draw probabilities pre-resolved into next_bool's three arms
 /// (DrawBernoulli) and the repair costs pre-multiplied.
@@ -230,11 +229,20 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
       bitmap[bw] = bits;
     }
 
-    // Gather the dirty words (ascending, like the reference sweep) into
-    // the SoA the batched classify consumes.
-    side.batch_words.clear();
-    side.batch_data.clear();
-    side.batch_check.clear();
+    // Resolve the dirty words in place, ascending like the reference
+    // sweep. The scrub engine always repairs (reference: repairs =
+    // true), so the per-status actions below are resolve_word's scrub
+    // arms verbatim. Only a detected-uncorrectable word draws.
+    const auto refetch = [&](std::uint64_t w) {
+      restore_clean(R.protection, image, w);
+      if (detail::draw_bernoulli(rng, R.dirty)) {
+        ++side.counters.unrecoverable;
+      } else {
+        ++side.counters.refetches;
+        side.counters.recovery_cycles += R.refetch_cycles;
+        side.counters.recovery_energy_pj += R.refetch_energy;
+      }
+    };
     for (std::size_t bw = 0; bw < bitmap_words; ++bw) {
       std::uint64_t bits = bitmap[bw];
       while (bits != 0) {
@@ -242,35 +250,22 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
             (static_cast<std::uint64_t>(bw) << 6) +
             static_cast<std::uint32_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        side.batch_words.push_back(w);
-        side.batch_data.push_back(data[w] ^ truth[w]);
-        side.batch_check.push_back(
-            static_cast<std::uint8_t>(check[w] ^ truth_check[w]));
-      }
-    }
-    const std::size_t n = side.batch_words.size();
-    if (n == 0) continue;
-    side.batch_syndrome.resize(n);
-
-    // The scrub engine always repairs (reference: repairs = true), so
-    // the per-status actions below are resolve_word's scrub arms
-    // verbatim. Only a detected-uncorrectable word draws.
-    if (R.protection == ProtectionKind::SecDed) {
-      SecDedCodec::fold_syndromes(side.batch_data.data(),
-                                  side.batch_check.data(), n,
-                                  side.batch_syndrome.data());
-      const auto& table = SecDedCodec::syndrome_table();
-      for (std::size_t i = 0; i < n; ++i) {
-        const SecDedCodec::SyndromeDecode& sd =
-            table[side.batch_syndrome[i]];
-        const std::uint64_t w = side.batch_words[i];
-        switch (sd.status) {
+        const std::uint64_t data_mask = data[w] ^ truth[w];
+        const auto check_mask =
+            static_cast<std::uint8_t>(check[w] ^ truth_check[w]);
+        if (R.protection == ProtectionKind::Parity) {
+          // Even-flip aliases (zero syndrome) are invisible to the
+          // code: latent, exactly like the reference.
+          if ((parity64(data_mask) ^ (check_mask & 1)) != 0) refetch(w);
+          continue;
+        }
+        const PatternDecode p =
+            SecDedCodec::classify_pattern(data_mask, check_mask);
+        switch (p.status) {
           case DecodeStatus::Clean:
             break;  // aliased to a valid codeword: latent to a scrub
-          case DecodeStatus::Corrected: {
-            const std::uint64_t residual =
-                side.batch_data[i] ^ sd.correction_mask;
-            if (residual == 0) {
+          case DecodeStatus::Corrected:
+            if (p.residual_mask == 0) {
               // Right correction: the decoder rewrote the clean
               // encoding, which truth/truth_check already hold.
               restore_clean(R.protection, image, w);
@@ -279,43 +274,17 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
               // Miscorrection: self-consistent wrong data. The codec is
               // linear, so the re-encoded check bits are the cached
               // clean ones XOR the residual's check image.
-              image.data[w] = image.truth[w] ^ residual;
+              image.data[w] = image.truth[w] ^ p.residual_mask;
               image.check[w] = static_cast<std::uint8_t>(
-                  image.truth_check[w] ^ SecDedCodec::compute_check(residual));
+                  image.truth_check[w] ^
+                  SecDedCodec::compute_check(p.residual_mask));
             }
             side.counters.recovery_cycles += R.write_latency;
             side.counters.recovery_energy_pj += R.write_energy;
             break;
-          }
-          case DecodeStatus::Detected: {
-            restore_clean(R.protection, image, w);
-            if (detail::draw_bernoulli(rng, R.dirty)) {
-              ++side.counters.unrecoverable;
-            } else {
-              ++side.counters.refetches;
-              side.counters.recovery_cycles += R.refetch_cycles;
-              side.counters.recovery_energy_pj += R.refetch_energy;
-            }
+          case DecodeStatus::Detected:
+            refetch(w);
             break;
-          }
-        }
-      }
-    } else {  // Parity
-      ParityCodec::fold_parity(side.batch_data.data(),
-                               side.batch_check.data(), n,
-                               side.batch_syndrome.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        // Even-flip aliases (zero syndrome) are invisible to the code:
-        // latent, exactly like the reference.
-        if (side.batch_syndrome[i] == 0) continue;
-        const std::uint64_t w = side.batch_words[i];
-        restore_clean(R.protection, image, w);
-        if (detail::draw_bernoulli(rng, R.dirty)) {
-          ++side.counters.unrecoverable;
-        } else {
-          ++side.counters.refetches;
-          side.counters.recovery_cycles += R.refetch_cycles;
-          side.counters.recovery_energy_pj += R.refetch_energy;
         }
       }
     }
@@ -438,58 +407,18 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
 
       // Demand walk. ace mode 0 (occupancy <= 0) skips every word with
       // no draw in the reference too — the flips stay latent either
-      // way. Otherwise resolve the touched words through the batched
-      // codec entry points. The gather + fold is deferred until the
-      // first word that survives its ACE draw: classification is
-      // draw-free and resolving word w only rewrites word w, so folding
-      // all n patterns at the first kept word sees exactly the masks an
-      // eager fold would have — and a strike whose every touched word
-      // misses the ACE window (the common case at low occupancy) never
-      // touches the codec at all.
-      if (!touched.empty() && R.ace.mode != 0) {
-        const std::size_t n = touched.size();
-        if (side.batch_data.size() < n) {
-          side.batch_data.resize(n);
-          side.batch_check.resize(n);
-          side.batch_syndrome.resize(n);
-        }
-        bool masks_ready = false;
-        bool syndromes_ready = false;
-        // Fold every gathered pattern in one batched codec call, run
-        // only when a kept word actually needs its syndrome — patterns
-        // of <= 2 surviving bits resolve through the distance-4
-        // popcount shortcuts below, so most strikes never fold at all.
-        const auto ensure_syndromes = [&]() {
-          if (syndromes_ready) return;
-          syndromes_ready = true;
-          if (R.protection == ProtectionKind::SecDed) {
-            SecDedCodec::fold_syndromes(side.batch_data.data(),
-                                        side.batch_check.data(), n,
-                                        side.batch_syndrome.data());
-          } else {
-            ParityCodec::fold_parity(side.batch_data.data(),
-                                     side.batch_check.data(), n,
-                                     side.batch_syndrome.data());
-          }
-        };
-
-        for (std::size_t i = 0; i < n; ++i) {
+      // way. Otherwise each word that survives its ACE draw is read and
+      // classified on the spot: classification is draw-free and
+      // resolving word w only rewrites word w.
+      if (R.ace.mode != 0) {
+        for (const std::uint64_t w : touched) {
           if (!detail::draw_bernoulli(rng, R.ace)) continue;
-          if (!masks_ready) {
-            masks_ready = true;
-            for (std::size_t j = 0; j < n; ++j) {
-              const std::uint64_t w = touched[j];
-              side.batch_data[j] = image.data[w] ^ image.truth[w];
-              side.batch_check[j] =
-                  R.has_check ? static_cast<std::uint8_t>(
-                                    image.check[w] ^ image.truth_check[w])
-                              : std::uint8_t{0};
-            }
-          }
           ++counters.demand_reads;
-          const std::uint64_t w = touched[i];
-          const std::uint64_t data_mask = side.batch_data[i];
-          const std::uint8_t check_mask = side.batch_check[i];
+          const std::uint64_t data_mask = image.data[w] ^ image.truth[w];
+          const std::uint8_t check_mask =
+              R.has_check ? static_cast<std::uint8_t>(image.check[w] ^
+                                                      image.truth_check[w])
+                          : std::uint8_t{0};
 
           // A detected-uncorrectable word is restored to its truth
           // either way; with repair on, the re-fetch is booked (or
@@ -520,8 +449,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
                       static_cast<std::uint64_t>(check_mask)) == 0) {
             repair = WordRepair::Clean;
           } else if (R.protection == ProtectionKind::Parity) {
-            ensure_syndromes();
-            if (side.batch_syndrome[i] != 0) {
+            if ((parity64(data_mask) ^ (check_mask & 1)) != 0) {
               repair = handle_due();
             } else {
               // Even-flip alias consumed: the new truth's parity is the
@@ -539,7 +467,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
             if (pc == 1) {
               // A single surviving flip decodes straight back to the
               // clean word (verify_secded_popcount_shortcuts) — the
-              // Corrected / residual == 0 arm of the syndrome walk.
+              // Corrected / residual == 0 arm below.
               if (policy_.recover) {
                 restore_clean(R.protection, image, w);
                 counters.recovery_cycles += R.write_latency;
@@ -552,10 +480,9 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
               repair = handle_due();
             }
           } else {  // SecDed, >= 3 surviving bits: real syndrome
-            ensure_syndromes();
-            const SecDedCodec::SyndromeDecode& sd =
-                SecDedCodec::syndrome_table()[side.batch_syndrome[i]];
-            switch (sd.status) {
+            const PatternDecode p =
+                SecDedCodec::classify_pattern(data_mask, check_mask);
+            switch (p.status) {
               case DecodeStatus::Clean:
                 // Aliased to a valid codeword of the wrong data: the
                 // residual is the data mask itself, and its check image
@@ -568,8 +495,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
                 repair = WordRepair::Silent;
                 break;
               case DecodeStatus::Corrected: {
-                const std::uint64_t residual =
-                    data_mask ^ sd.correction_mask;
+                const std::uint64_t residual = p.residual_mask;
                 if (residual == 0) {
                   // Right correction: the decoder rewrote the clean
                   // encoding truth/truth_check already hold.

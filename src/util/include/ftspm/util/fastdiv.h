@@ -2,7 +2,7 @@
 //
 // The campaign hot loop maps every flipped physical bit to its codeword
 // with a divide/modulo by `codeword_bits` — a 64-bit idiv per flip, one
-// of the larger single costs in the batched strike engine. FastDiv64
+// of the larger single costs in the campaign strike loops. FastDiv64
 // precomputes the classic round-up reciprocal (Granlund–Montgomery;
 // the same construction libdivide calls the "magic number" path) so the
 // divide becomes one 64x64→128 multiply.

@@ -30,8 +30,8 @@ class Rng {
   /// Seeds the four 64-bit words of state from `seed` via SplitMix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
 
-  // The per-draw primitives are defined inline: the batched campaign
-  // engine draws several per strike at tens of millions of strikes/sec,
+  // The per-draw primitives are defined inline: the campaign chunk
+  // engines draw several per strike at tens of millions of strikes/sec,
   // where a cross-TU call per draw is measurable. Sequences are
   // unchanged — only the call overhead moved.
 

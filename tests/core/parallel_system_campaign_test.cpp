@@ -6,6 +6,7 @@
 #include <string>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -123,13 +124,20 @@ TEST(ParallelTemporalCampaignTest, JobsInvariantAndResumable) {
   const std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
                            "/ftspm_temporal_resume." +
                            std::to_string(::getpid());
+  // Stopped through `cancel` once 5'000 strikes are reported done.
+  std::atomic<bool> stop{false};
+  CampaignConfig halting = cfg;
+  halting.progress_interval = 1;
+  halting.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done >= 5'000) stop.store(true);
+  };
   exec::ExecConfig halted = four;
   halted.checkpoint_path = path;
   halted.chunk_strikes = 1'000;
-  halted.halt_after = 5'000;
+  halted.cancel = &stop;
   const exec::ShardedRun partial = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg, halted);
+      f.profile, f.evaluator.strike_model(), halting, halted);
   EXPECT_FALSE(partial.complete);
 
   exec::ExecConfig resumed = four;

@@ -3,10 +3,9 @@
 // 2-, and 3-bit error pattern over the full 72-bit SEC-DED codeword
 // and the 65-bit parity word, each checked against several stored
 // originals to witness the linearity argument — the pattern alone
-// determines the outcome, the data never does. The batch entry points
-// (fold_syndromes / classify_pattern_batch) are then driven over the
-// same exhaustive pattern sets at several batch sizes, including 1 and
-// ragged tails.
+// determines the outcome, the data never does. The array fold
+// (fold_syndromes) is then driven over the same exhaustive SEC-DED
+// pattern set at several batch sizes, including 1 and ragged tails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -129,13 +128,10 @@ TEST(PatternEquivalence, SingleBitCorrectionTargetsTheFlippedBit) {
   }
 }
 
-// ---- Batch entry points (docs/performance.md, "Batched
-// classification"): same exhaustive pattern sets, pushed through the
-// array kernels in blocks of several sizes. 1 exercises the
-// degenerate batch, 5 and 33 leave tails smaller than any SIMD lane
-// group, 256 is the campaign block width, and 333 is a deliberate
-// non-multiple of every kernel width so the SIMD body must hand its
-// remainder to the scalar tail.
+// ---- The array fold: the same exhaustive pattern set pushed through
+// fold_syndromes in blocks of several sizes. 1 exercises the
+// degenerate batch, 5 and 33 leave ragged tails, 256 and 333 are
+// larger blocks, one a deliberate non-power-of-two.
 constexpr std::array<std::size_t, 5> kBatchSizes = {1, 5, 33, 256, 333};
 
 /// Collects every 1/2/3-bit pattern over `width` bits in SoA form.
@@ -152,50 +148,6 @@ PatternSet all_patterns(std::uint32_t width) {
     set.check.push_back(p.check_mask);
   });
   return set;
-}
-
-void expect_same_decode(const PatternDecode& got, const PatternDecode& want,
-                        std::size_t i, const char* what) {
-  ASSERT_EQ(got.status, want.status) << what << " pattern " << i;
-  ASSERT_EQ(got.correction_mask, want.correction_mask)
-      << what << " pattern " << i;
-  ASSERT_EQ(got.residual_mask, want.residual_mask) << what << " pattern " << i;
-}
-
-TEST(PatternEquivalence, SecDedBatchMatchesScalarAtEveryBatchSize) {
-  const PatternSet set = all_patterns(SecDedCodec::kCodewordBits);
-  const std::size_t total = set.data.size();
-  std::vector<PatternDecode> out(total);
-  for (const std::size_t batch : kBatchSizes) {
-    for (std::size_t base = 0; base < total; base += batch) {
-      const std::size_t n = std::min(batch, total - base);
-      SecDedCodec::classify_pattern_batch(set.data.data() + base,
-                                          set.check.data() + base, n,
-                                          out.data() + base);
-    }
-    for (std::size_t i = 0; i < total; ++i)
-      expect_same_decode(
-          out[i], SecDedCodec::classify_pattern(set.data[i], set.check[i]), i,
-          "secded batch");
-  }
-}
-
-TEST(PatternEquivalence, ParityBatchMatchesScalarAtEveryBatchSize) {
-  const PatternSet set = all_patterns(ParityCodec::kCodewordBits);
-  const std::size_t total = set.data.size();
-  std::vector<PatternDecode> out(total);
-  for (const std::size_t batch : kBatchSizes) {
-    for (std::size_t base = 0; base < total; base += batch) {
-      const std::size_t n = std::min(batch, total - base);
-      ParityCodec::classify_pattern_batch(set.data.data() + base,
-                                          set.check.data() + base, n,
-                                          out.data() + base);
-    }
-    for (std::size_t i = 0; i < total; ++i)
-      expect_same_decode(
-          out[i], ParityCodec::classify_pattern(set.data[i], set.check[i]), i,
-          "parity batch");
-  }
 }
 
 TEST(PatternEquivalence, FoldSyndromesMatchPerWordSyndromes) {

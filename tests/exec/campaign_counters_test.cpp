@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -143,13 +144,21 @@ TEST(CampaignCounters, ResumedRunCountsOnlyItsOwnStrikes) {
                            "/ftspm_counter_resume_test." +
                            std::to_string(::getpid());
 
+  // Stopped through `cancel` once 7'000 strikes are reported done.
+  std::atomic<bool> stop{false};
+  CampaignConfig halting = cfg;
+  halting.progress_interval = 1;
+  halting.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done >= 7'000) stop.store(true);
+  };
   ExecConfig first = sharded(2);
   first.checkpoint_path = path;
   first.chunk_strikes = 1'000;
-  first.halt_after = 7'000;
+  first.cancel = &stop;
   ShardedRun halted;
-  const CampaignCounters before = count_campaign(
-      [&] { halted = run_campaign_sharded(surfaces(), model(), cfg, first); });
+  const CampaignCounters before = count_campaign([&] {
+    halted = run_campaign_sharded(surfaces(), model(), halting, first);
+  });
   ASSERT_FALSE(halted.complete);
   expect_counts(before, halted.merged, "halted run");
 

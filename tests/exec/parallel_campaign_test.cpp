@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -126,13 +127,17 @@ TEST(ParallelCampaignTest, MergedEqualsIndependentPerShardRuns) {
 TEST(ParallelCampaignTest, ChunkSizeNeverChangesResults) {
   CampaignConfig cfg;
   cfg.strikes = 9'000;
-  ExecConfig coarse;
+  ExecConfig coarse;  // one chunk per shard
   coarse.shards = 2;
-  ExecConfig fine = coarse;
-  fine.chunk_strikes = 577;  // forces many oddly-aligned chunks
   const ShardedRun a = run_campaign_sharded(surfaces(), model(), cfg, coarse);
-  const ShardedRun b = run_campaign_sharded(surfaces(), model(), cfg, fine);
-  expect_same(a.merged, b.merged);
+  // Granules are used as given, so none of these ends on a round
+  // strike count: 1 (strike by strike), 577 (oddly aligned), 1'000.
+  for (const std::uint64_t chunk : {1u, 577u, 1'000u}) {
+    ExecConfig fine = coarse;
+    fine.chunk_strikes = chunk;
+    const ShardedRun b = run_campaign_sharded(surfaces(), model(), cfg, fine);
+    expect_same(a.merged, b.merged);
+  }
 }
 
 TEST(ParallelCampaignTest, HaltCheckpointResumeMatchesUninterrupted) {
@@ -147,13 +152,19 @@ TEST(ParallelCampaignTest, HaltCheckpointResumeMatchesUninterrupted) {
   const ShardedRun whole = run_campaign_sharded(surfaces(), model(), cfg,
                                                 plain);
 
-  // Same campaign, killed partway (simulated via halt_after), then
-  // resumed from the checkpoint it left behind.
+  // Same campaign, killed partway (cancelled once 7'000 strikes are
+  // reported done), then resumed from the checkpoint it left behind.
+  std::atomic<bool> stop{false};
+  CampaignConfig halting = cfg;
+  halting.progress_interval = 1;
+  halting.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done >= 7'000) stop.store(true);
+  };
   ExecConfig first = plain;
   first.checkpoint_path = path;
   first.chunk_strikes = 1'000;
-  first.halt_after = 7'000;
-  const ShardedRun halted = run_campaign_sharded(surfaces(), model(), cfg,
+  first.cancel = &stop;
+  const ShardedRun halted = run_campaign_sharded(surfaces(), model(), halting,
                                                  first);
   EXPECT_FALSE(halted.complete);
   EXPECT_LT(halted.merged.strikes, cfg.strikes);

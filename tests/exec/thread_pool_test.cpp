@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,27 +21,30 @@ TEST(ThreadPoolTest, DefaultJobsIsAtLeastOne) {
 TEST(ThreadPoolTest, ExecutesEverySubmittedTask) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i)
-    futures.push_back(pool.submit([&] { ran.fetch_add(1); }));
-  for (auto& f : futures) f.get();
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 100; ++i) tasks.push_back([&] { ran.fetch_add(1); });
+  pool.run_all(std::move(tasks));
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(ThreadPoolTest, DestructorDrainsTheQueue) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) pool.submit([&] { ran.fetch_add(1); });
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPoolTest, FutureRethrowsTaskException) {
-  ThreadPool pool(2);
-  std::future<void> f =
-      pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
+TEST(ThreadPoolTest, OneJobPoolRunsTasksInlineInOrder) {
+  // The serial case: no worker thread, every task on the caller's
+  // thread in task order — a failure included, which is rethrown only
+  // after the later tasks ran.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool all_inline = true;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 6; ++i)
+    tasks.push_back([&, i] {
+      all_inline = all_inline && std::this_thread::get_id() == caller;
+      order.push_back(i);
+      if (i == 2) throw std::runtime_error("inline failure");
+    });
+  EXPECT_THROW(pool.run_all(std::move(tasks)), std::runtime_error);
+  EXPECT_TRUE(all_inline);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(ThreadPoolTest, RunAllRethrowsFirstFailureInTaskOrder) {
@@ -77,54 +81,55 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, MultipleProducersSubmitConcurrently) {
-  // The serve daemon's scheduler is the first multi-producer user:
-  // several connection threads submit onto one shared pool. Every task
-  // must run exactly once and every future must become ready.
+  // The serve daemon's scheduler is the multi-producer user: several
+  // connection threads run batches on one shared pool. Every task must
+  // run exactly once and every batch must return.
   ThreadPool pool(4);
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 200;
   std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures[kProducers];
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&, p] {
+    producers.emplace_back([&] {
+      std::vector<std::function<void()>> tasks;
       for (int i = 0; i < kPerProducer; ++i)
-        futures[p].push_back(pool.submit([&] { ran.fetch_add(1); }));
+        tasks.push_back([&] { ran.fetch_add(1); });
+      pool.run_all(std::move(tasks));
     });
   for (std::thread& t : producers) t.join();
-  for (auto& fs : futures)
-    for (std::future<void>& f : fs) f.get();
   EXPECT_EQ(ran.load(), kProducers * kPerProducer);
 }
 
 TEST(ThreadPoolTest, MultipleProducersEachSeeOwnExceptions) {
-  // Exceptions must route to the submitting producer's futures only —
-  // one failing client cannot poison another client's tasks.
+  // Exceptions must route to the producer whose batch threw — one
+  // failing client cannot poison another client's batch — and each
+  // failing batch reports its own first failure by task order.
   ThreadPool pool(2);
   std::vector<std::thread> producers;
   std::atomic<int> ok_tasks{0};
-  std::atomic<int> failures_seen{0};
+  std::vector<std::string> seen(4);
   for (int p = 0; p < 4; ++p)
     producers.emplace_back([&, p] {
-      std::vector<std::future<void>> fs;
+      std::vector<std::function<void()>> tasks;
       for (int i = 0; i < 50; ++i) {
         const bool fail = p % 2 == 0 && i % 10 == 0;
-        fs.push_back(pool.submit([&, fail] {
-          if (fail) throw std::runtime_error("producer failure");
+        tasks.push_back([&, p, i, fail] {
+          if (fail)
+            throw std::runtime_error("producer " + std::to_string(p) +
+                                     " task " + std::to_string(i));
           ok_tasks.fetch_add(1);
-        }));
+        });
       }
-      for (std::future<void>& f : fs) {
-        try {
-          f.get();
-        } catch (const std::runtime_error&) {
-          failures_seen.fetch_add(1);
-        }
+      try {
+        pool.run_all(std::move(tasks));
+      } catch (const std::runtime_error& e) {
+        seen[static_cast<std::size_t>(p)] = e.what();
       }
     });
   for (std::thread& t : producers) t.join();
-  EXPECT_EQ(failures_seen.load(), 2 * 5);  // 2 failing producers × 5 each.
-  EXPECT_EQ(ok_tasks.load(), 4 * 50 - 2 * 5);
+  EXPECT_EQ(seen, (std::vector<std::string>{"producer 0 task 0", "",
+                                            "producer 2 task 0", ""}));
+  EXPECT_EQ(ok_tasks.load(), 4 * 50 - 2 * 5);  // 2 failing producers × 5.
 }
 
 TEST(ThreadPoolTest, RunAllExceptionOrderHoldsUnderQueuePressure) {

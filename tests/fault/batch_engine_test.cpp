@@ -1,11 +1,11 @@
-// The batched SoA campaign engine (injector_batch.cpp) against a
+// The campaign chunk engine (injector_batch.cpp) against a
 // strike-at-a-time reference that replays the documented RNG draw
 // order (docs/performance.md, "RNG draw-order contract") through the
 // classify_strike oracle. The engine reorders *work* — region tables,
-// LUT classification, deferred syndrome folds — but never *draws*, so
-// every schedule below must reproduce the reference counters and leave
-// the generator at the reference's stream position: any block width,
-// any chunk schedule, with or without a sensitivity grid. The stream
+// LUT classification — but never *draws*, so every schedule below must
+// reproduce the reference counters and leave the generator at the
+// reference's stream position: any chunk schedule, with or without a
+// sensitivity grid. The stream
 // position is probed directly (one next_u64 after the run), so a loop
 // that burns or skips a single draw fails at once rather than through
 // counter drift.
@@ -23,7 +23,6 @@
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/geometry.h"
 #include "ftspm/mem/technology_library.h"
-#include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 #include "ftspm/workload/case_study.h"
 #include "support/campaign_oracles.h"
@@ -73,16 +72,14 @@ StaticRun reference_campaign(const std::vector<InjectionRegion>& regions,
   return StaticRun{res, rng.next_u64()};
 }
 
-/// The batched engine over `schedule` (chunk sizes) at block `width`.
+/// The chunk engine over `schedule` (chunk sizes).
 StaticRun engine_campaign(const std::vector<InjectionRegion>& regions,
                           const StrikeMultiplicityModel& model,
                           const CampaignConfig& cfg,
-                          std::uint32_t width = kCampaignBatchWidth,
                           SensitivityGrid* grid = nullptr,
                           std::vector<std::uint64_t> schedule = {}) {
   if (schedule.empty()) schedule.push_back(cfg.strikes);
   CampaignShardState state = begin_campaign_shard(cfg.seed);
-  state.scratch.batch.width = width;
   for (const std::uint64_t step : schedule)
     run_campaign_chunk(regions, model, cfg, state, step, grid);
   return StaticRun{state.partial, state.rng.next_u64()};
@@ -103,25 +100,18 @@ void expect_same_run(const StaticRun& got, const StaticRun& want,
   EXPECT_EQ(got.rng_probe, want.rng_probe) << what << " (RNG diverged)";
 }
 
-/// The engine at widths 1 (strike at a time), 33 (a ragged tail in
-/// every block of deferred folds) and 256 (production), each with and
-/// without a grid, against one reference run: same counters, same
-/// stream position.
+/// The engine with and without a grid against one reference run: same
+/// counters, same stream position.
 void expect_matches_reference(const std::vector<InjectionRegion>& regions,
                               const StrikeMultiplicityModel& model,
                               const CampaignConfig& cfg,
                               const std::string& what) {
   const StaticRun want = reference_campaign(regions, model, cfg);
-  for (const std::uint32_t width : {1u, 33u, 256u}) {
-    for (const bool gridded : {false, true}) {
-      SensitivityGrid grid = make_sensitivity_grid(regions, 16);
-      expect_same_run(
-          engine_campaign(regions, model, cfg, width,
-                          gridded ? &grid : nullptr),
-          want,
-          what + " width " + std::to_string(width) +
-              (gridded ? " gridded" : ""));
-    }
+  for (const bool gridded : {false, true}) {
+    SensitivityGrid grid = make_sensitivity_grid(regions, 16);
+    expect_same_run(
+        engine_campaign(regions, model, cfg, gridded ? &grid : nullptr), want,
+        what + (gridded ? " gridded" : ""));
   }
 }
 
@@ -196,24 +186,10 @@ TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
                            "ace edges");
 }
 
-TEST(BatchEngine, BlockWidthNeverChangesCounters) {
-  // Block size is pure scheduling (injector.h, kCampaignBatchWidth):
-  // width 1 degenerates to strike-at-a-time, 33 leaves a ragged tail
-  // in every block of deferred folds, 256 is the production width.
-  // Width 0 is refused, whichever engine runs.
-  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  const CampaignConfig cfg = config_for(0x57a1ce5eed, 40'000);
-  const StaticRun want = reference_campaign(mixed_surfaces(), model, cfg);
-  for (const std::uint32_t width : {1u, 3u, 7u, 33u, 256u, 1000u})
-    expect_same_run(engine_campaign(mixed_surfaces(), model, cfg, width), want,
-                    "width " + std::to_string(width));
-  EXPECT_THROW(engine_campaign(mixed_surfaces(), model, cfg, 0), Error);
-}
-
 TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
   // Any chunk schedule reaching config.strikes must agree with one
-  // serial run — chunks cut blocks short mid-campaign, so this pins
-  // the resume path (checkpointing) too.
+  // serial run — chunks end at arbitrary strikes mid-campaign, so this
+  // pins the resume path (checkpointing) too.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x7a7aa77a, 30'000);
   const StaticRun want = reference_campaign(mixed_surfaces(), model, cfg);
@@ -223,8 +199,8 @@ TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
       {997, 4096, 30'000},  // over-asking stops at config.strikes
       {10'000, 10'000, 10'000}};
   for (const auto& schedule : schedules)
-    expect_same_run(engine_campaign(mixed_surfaces(), model, cfg,
-                                    kCampaignBatchWidth, nullptr, schedule),
+    expect_same_run(engine_campaign(mixed_surfaces(), model, cfg, nullptr,
+                                    schedule),
                     want,
                     "schedule of " + std::to_string(schedule.size()) +
                         " chunks");
@@ -239,8 +215,8 @@ TEST(BatchEngine, GridNeverChangesCounters) {
   const StaticRun plain = engine_campaign(mixed_surfaces(), model, cfg);
 
   SensitivityGrid grid = make_sensitivity_grid(mixed_surfaces(), 16);
-  const StaticRun gridded = engine_campaign(mixed_surfaces(), model, cfg,
-                                            kCampaignBatchWidth, &grid);
+  const StaticRun gridded =
+      engine_campaign(mixed_surfaces(), model, cfg, &grid);
   expect_same_run(gridded, plain, "gridded vs plain");
 
   const CampaignResult totals = grid.totals();
@@ -258,8 +234,8 @@ TEST(BatchEngine, GridCellsMatchReference) {
   const CampaignConfig cfg = config_for(0x5ca1ab1e, 40'000);
   SensitivityGrid engine_grid = make_sensitivity_grid(mixed_surfaces(), 16);
   SensitivityGrid reference_grid = make_sensitivity_grid(mixed_surfaces(), 16);
-  const StaticRun engine = engine_campaign(mixed_surfaces(), model, cfg,
-                                           kCampaignBatchWidth, &engine_grid);
+  const StaticRun engine =
+      engine_campaign(mixed_surfaces(), model, cfg, &engine_grid);
   const StaticRun reference =
       reference_campaign(mixed_surfaces(), model, cfg, &reference_grid);
   expect_same_run(engine, reference, "gridded counters");
@@ -267,7 +243,7 @@ TEST(BatchEngine, GridCellsMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery: the batched run_chunk (recovery_batch.cpp) against the
+// Recovery: run_chunk (recovery_batch.cpp) against the
 // strike-at-a-time reference loop it replaced (CampaignOracles). The contract is
 // stronger than counter equality — the stored images, the recovery
 // counters (cycles and energy bit for bit), the sensitivity grid, and
@@ -465,7 +441,7 @@ TEST(BatchEngineRecovery, GridCellsMatchReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Temporal: the batched run_chunk (system_campaign_batch.cpp) against
+// Temporal: run_chunk (system_campaign_batch.cpp) against
 // the reference loop (CampaignOracles) over the case-study schedule —
 // the only workload with real residency spans, unmap indices, and
 // per-block ACE fractions.
@@ -489,12 +465,10 @@ struct TemporalRun {
 
 TemporalRun drive_temporal(const TemporalCampaign& campaign,
                            const CampaignConfig& cfg, bool batched,
-                           std::uint32_t width,
                            const std::vector<std::uint64_t>& schedule,
                            SensitivityGrid* grid = nullptr) {
   CampaignShardState state =
       begin_campaign_shard(cfg.seed ^ TemporalCampaign::kSeedSalt);
-  state.scratch.batch.width = width;
   for (const std::uint64_t step : schedule) {
     if (batched)
       campaign.run_chunk(cfg, state, step, grid);
@@ -512,22 +486,15 @@ TEST(BatchEngineTemporal, MatchesReferenceAcrossWidthsAndChunks) {
   for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
     const CampaignConfig cfg = config_for(seed, 25'000);
     const TemporalRun want =
-        drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
-    for (const std::uint32_t width : {1u, 33u, 256u}) {
-      const TemporalRun got =
-          drive_temporal(campaign, cfg, true, width, {cfg.strikes});
-      expect_equal(got.strikes, want.strikes,
-                   ("temporal width " + std::to_string(width)).c_str());
-      EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
-    }
-    // The static engine's width rule: 0 is refused, not replaced.
-    EXPECT_THROW(drive_temporal(campaign, cfg, true, 0, {cfg.strikes}),
-                 Error);
+        drive_temporal(campaign, cfg, false, {cfg.strikes});
+    const TemporalRun whole =
+        drive_temporal(campaign, cfg, true, {cfg.strikes});
+    expect_equal(whole.strikes, want.strikes, "temporal");
+    EXPECT_EQ(whole.rng_probe, want.rng_probe) << "one chunk";
     for (const std::vector<std::uint64_t>& schedule :
          std::vector<std::vector<std::uint64_t>>{
              {1, 1, 1, 24'997}, {997, 4096, 25'000}, {5'000, 5'000, 15'000}}) {
-      const TemporalRun got =
-          drive_temporal(campaign, cfg, true, 256, schedule);
+      const TemporalRun got = drive_temporal(campaign, cfg, true, schedule);
       expect_equal(got.strikes, want.strikes, "temporal chunk schedule");
       EXPECT_EQ(got.rng_probe, want.rng_probe) << "chunk schedule";
     }
@@ -545,9 +512,9 @@ TEST(BatchEngineTemporal, GridCellsMatchReference) {
       make_sensitivity_grid(campaign.surfaces(), 16);
   const CampaignConfig cfg = config_for(0x9e3779b9, 25'000);
   const TemporalRun batched =
-      drive_temporal(campaign, cfg, true, 256, {cfg.strikes}, &batched_grid);
-  const TemporalRun reference = drive_temporal(campaign, cfg, false, 256,
-                                               {cfg.strikes}, &reference_grid);
+      drive_temporal(campaign, cfg, true, {cfg.strikes}, &batched_grid);
+  const TemporalRun reference =
+      drive_temporal(campaign, cfg, false, {cfg.strikes}, &reference_grid);
   expect_equal(batched.strikes, reference.strikes, "gridded temporal");
   EXPECT_EQ(batched.rng_probe, reference.rng_probe);
   EXPECT_EQ(batched_grid.to_csv(), reference_grid.to_csv());

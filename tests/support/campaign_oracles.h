@@ -1,8 +1,8 @@
 // Strike-at-a-time reference engines for the Monte-Carlo campaigns.
 //
-// The product classifies strikes through batched engines: syndrome
-// kernels for the static classifier, SoA blocks and batched folds for the
-// recovery and temporal chunk loops. These references do the literal
+// The product classifies strikes through the chunk engines: syndrome
+// kernels, integer-domain draw tables and run-length class LUTs for the
+// static, recovery and temporal loops. These references do the literal
 // thing instead — encode/flip/decode per struck codeword, one Rng call
 // per draw, one decode per word — so a test can demand bit-identical
 // counters, images, grids and RNG streams from both. They are test and
@@ -37,7 +37,7 @@ StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
                                      std::uint64_t first_bit,
                                      std::uint32_t flips, Rng& rng);
 
-/// The reference chunk loops the batched LiveArrayCampaign::run_chunk and
+/// The reference chunk loops LiveArrayCampaign::run_chunk and
 /// TemporalCampaign::run_chunk are pinned against. Both campaigns name
 /// this struct their friend so the loops can read the precomputed
 /// private state (weights, spans, policy) instead of rebuilding it.

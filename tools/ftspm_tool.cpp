@@ -108,6 +108,23 @@ struct GlobalOptions {
   std::uint32_t jobs = 1;  // 0 = hardware concurrency
 };
 
+std::string read_text_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  FTSPM_REQUIRE(in.good(), "cannot open '" + path + "'");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Writes one artefact file; an open or write failure throws naming
+/// the path.
+void write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  FTSPM_CHECK(out.good(), "cannot open " + path);
+  out << text;
+  FTSPM_CHECK(out.good(), "write failed for " + path);
+}
+
 /// Owns the observability state for one tool invocation: enables the
 /// registry when any output was requested, installs the trace sink for
 /// the duration of the command, and writes the files at the end.
@@ -153,10 +170,7 @@ class ObsSession {
                 << opts_.trace_out << "\n";
     }
     if (!opts_.metrics_out.empty()) {
-      std::ofstream out(opts_.metrics_out);
-      FTSPM_CHECK(out.good(), "cannot open " + opts_.metrics_out);
-      out << obs::registry().to_json() << "\n";
-      FTSPM_CHECK(out.good(), "write failed for " + opts_.metrics_out);
+      write_text_file(opts_.metrics_out, obs::registry().to_json() + "\n");
       std::cerr << "wrote metrics to " << opts_.metrics_out << "\n";
     }
     if (events_ != nullptr) {
@@ -679,14 +693,6 @@ int cmd_partition(int argc, const char* const* argv) {
   return 0;
 }
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FTSPM_REQUIRE(in.good(), "cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 /// `report trend`: the whole ledger reduced to its strikes/sec and
 /// residual-SDC-rate trajectories, as a table or CSV.
 int cmd_report_trend(int argc, const char* const* argv) {
@@ -747,19 +753,12 @@ int cmd_report_run(int argc, const char* const* argv) {
         SensitivityGrid::from_csv(read_text_file(args.option("sensitivity")));
 
   const std::string html_path = args.option("html");
-  {
-    std::ofstream out(html_path, std::ios::binary);
-    FTSPM_CHECK(out.good(), "cannot open " + html_path);
-    out << report::campaign_report_html(input);
-    FTSPM_CHECK(out.good(), "write failed for " + html_path);
-  }
+  write_text_file(html_path, report::campaign_report_html(input));
   std::cout << "wrote report for run '" << run->id << "' to " << html_path
             << "\n";
   if (!args.option("out-csv").empty()) {
-    std::ofstream out(args.option("out-csv"), std::ios::binary);
-    FTSPM_CHECK(out.good(), "cannot open " + args.option("out-csv"));
-    out << report::campaign_report_csv(input);
-    FTSPM_CHECK(out.good(), "write failed for " + args.option("out-csv"));
+    write_text_file(args.option("out-csv"),
+                    report::campaign_report_csv(input));
     std::cout << "wrote report CSV to " << args.option("out-csv") << "\n";
   }
   return 0;
@@ -781,12 +780,7 @@ int cmd_report_saturation(int argc, const char* const* argv) {
       parse_json(read_text_file(args.option("in"))));
 
   const std::string html_path = args.option("html");
-  {
-    std::ofstream out(html_path, std::ios::binary);
-    FTSPM_CHECK(out.good(), "cannot open " + html_path);
-    out << report::saturation_report_html(sweep);
-    FTSPM_CHECK(out.good(), "write failed for " + html_path);
-  }
+  write_text_file(html_path, report::saturation_report_html(sweep));
   const std::size_t knee = report::saturation_knee_index(sweep);
   std::cout << "wrote saturation report (" << sweep.steps.size()
             << " rungs) to " << html_path << "\n";
@@ -797,10 +791,8 @@ int cmd_report_saturation(int argc, const char* const* argv) {
   else
     std::cout << "no saturation knee inside the swept rates\n";
   if (!args.option("out-csv").empty()) {
-    std::ofstream out(args.option("out-csv"), std::ios::binary);
-    FTSPM_CHECK(out.good(), "cannot open " + args.option("out-csv"));
-    out << report::saturation_report_csv(sweep);
-    FTSPM_CHECK(out.good(), "write failed for " + args.option("out-csv"));
+    write_text_file(args.option("out-csv"),
+                    report::saturation_report_csv(sweep));
     std::cout << "wrote saturation CSV to " << args.option("out-csv")
               << "\n";
   }
@@ -947,10 +939,7 @@ int cmd_campaign(int argc, const char* const* argv) {
     // written at session end carries the per-region outcome breakdown.
     emit_sensitivity_metrics(outcome.sensitivity,
                              outcome.recovery_active ? "recovery" : "static");
-    std::ofstream out(sensitivity_out, std::ios::binary);
-    FTSPM_CHECK(out.good(), "cannot open " + sensitivity_out);
-    out << outcome.sensitivity.to_csv();
-    FTSPM_CHECK(out.good(), "write failed for " + sensitivity_out);
+    write_text_file(sensitivity_out, outcome.sensitivity.to_csv());
     std::cerr << "wrote sensitivity grid to " << sensitivity_out << "\n";
   }
   if (args.flag("time")) {
