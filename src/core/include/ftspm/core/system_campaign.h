@@ -112,7 +112,6 @@ class TemporalCampaign {
   TransferSchedule schedule_;
   std::vector<std::vector<const ResidencySpan*>> region_spans_;
   std::vector<InjectionRegion> surfaces_;
-  std::vector<double> weights_;
   std::uint64_t horizon_ = 0;
 };
 

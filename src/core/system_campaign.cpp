@@ -134,7 +134,6 @@ TemporalCampaign::TemporalCampaign(const SpmLayout& layout,
     region_spans_[span.region].push_back(&span);
 
   surfaces_.reserve(layout.region_count());
-  weights_.reserve(layout.region_count());
   for (RegionId r = 0; r < layout.region_count(); ++r) {
     const SpmRegionSpec& spec = layout.region(r);
     InjectionRegion surface;
@@ -143,7 +142,6 @@ TemporalCampaign::TemporalCampaign(const SpmLayout& layout,
     surface.interleave = spec.interleave;
     surface.ace_occupancy = 1.0;  // residency resolved per strike below
     surfaces_.push_back(surface);
-    weights_.push_back(static_cast<double>(surface.geometry.physical_bits()));
   }
 }
 

@@ -138,13 +138,8 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     if (grid != nullptr)
       grid->record(rid, origin, static_cast<StrikeOutcome>(out));
   }
-  state.partial.strikes += end - state.done;
-  state.partial.masked += tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
-  state.partial.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
-  state.partial.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
-  state.partial.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
-  state.rng = rng;
-  state.done = end;
+  detail::finish_chunk(state, end, rng, tallies[0], tallies[1], tallies[2],
+                       tallies[3]);
 }
 
 }  // namespace ftspm

@@ -6,10 +6,11 @@
 // breakpoints, Bernoulli trials as compares against ceil(p * 2^53),
 // and flip multiplicities as compares against cumulative cutoffs, all
 // built once per chunk. The live-array recovery and temporal campaigns
-// run their strike loops on the same machinery, so the shared pieces
+// run their strike loops on the same machinery — one region table, one
+// run splitter, one interleaved-hit gatherer — so the shared pieces
 // live here. Every engine resolves each strike where it lands, in one
-// pass; nothing is parked between strikes. Everything in ftspm::detail is an implementation detail of the campaign engines —
-// not API — but the equivalences are load-bearing: each helper is
+// pass; nothing is parked between strikes. Everything in ftspm::detail
+// is an implementation detail of the campaign engines — not API — but the equivalences are load-bearing: each helper is
 // bit-identical to the Rng primitive it replaces (see
 // docs/performance.md, "Integer-domain draws", and
 // tests/fault/batch_engine_test.cpp).
@@ -18,6 +19,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "ftspm/fault/injector.h"
@@ -41,14 +44,7 @@ inline std::uint64_t prob_to_draw_bits(double p) noexcept {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
-/// Rng::next_bool's three arms resolved once per probability: mode 0
-/// (p <= 0, always false, no draw), mode 1 (p >= 1, always true, no
-/// draw), mode 2 (one draw compared in the draw-bits domain).
-struct DrawBernoulli {
-  std::uint8_t mode = 1;
-  std::uint64_t bits = 0;
-};
-
+/// The DrawBernoulli (injector.h) of probability p.
 inline DrawBernoulli make_draw_bernoulli(double p) noexcept {
   DrawBernoulli b;
   b.mode = p <= 0.0 ? std::uint8_t{0} : p >= 1.0 ? std::uint8_t{1}
@@ -66,8 +62,9 @@ inline bool draw_bernoulli(Rng& rng, const DrawBernoulli& b) noexcept {
 
 /// (data, check) masks of one contiguous struck run [lo, hi) within a
 /// codeword, branchless: an empty half shifts a zero mask (the & 63
-/// keeps the shift defined when the data half is empty; check spans
-/// are accumulated in 32 bits).
+/// keeps the shift defined when the data half is empty). Exact for
+/// every geometry: RegionGeometry caps check bits at 16, so the check
+/// span always fits the 32-bit shift.
 struct GroupMasks {
   std::uint64_t data;
   std::uint32_t check;
@@ -156,11 +153,119 @@ inline std::uint32_t sample_flips_draw(Rng& rng, const FlipCutoffs& c,
   return flips;
 }
 
+/// One region's row of the constant table, with the validation the
+/// per-strike loop ran.
+BatchRegionInfo make_region_info(const InjectionRegion& region);
+
 /// Rebuilds the per-region constant table (allocation-free after the
-/// first chunk), applying the same validation the per-strike loop ran,
-/// and the region-pick breakpoints (build_pick_bits) into `batch`.
-void build_region_table(const std::vector<InjectionRegion>& regions,
-                        CampaignScratch::Batch& batch);
+/// first chunk) and the region-pick breakpoints (build_pick_bits) into
+/// `batch`. `surface` projects an element of `regions` onto its
+/// InjectionRegion: the identity for the static and temporal surfaces,
+/// &RecoveryRegion::inject for the live-array recovery campaign.
+template <class Region, class Surface = std::identity>
+void build_region_table(const std::vector<Region>& regions,
+                        CampaignScratch::Batch& batch, Surface surface = {}) {
+  batch.regions.clear();
+  batch.weights.clear();
+  // next_discrete accumulated the total left to right on every strike;
+  // the breakpoints must see the identical sum.
+  double total = 0.0;
+  for (const Region& r : regions) {
+    const BatchRegionInfo& info =
+        batch.regions.emplace_back(make_region_info(std::invoke(surface, r)));
+    const auto weight = static_cast<double>(info.physical_bits);
+    total += weight;
+    batch.weights.push_back(weight);
+  }
+  build_pick_bits(batch.weights, total, batch.pick_bits, batch.pick_fallback);
+}
+
+/// Splits an uninterleaved strike's `m` flips (already clipped at the
+/// surface edge) from `origin` into per-codeword runs: calls
+/// `fn(word, lo, hi)` once per struck codeword, ascending, with
+/// [lo, hi) the run's bits within that codeword (group_masks(lo, hi)
+/// its masks).
+template <class Fn>
+inline void for_each_run(const BatchRegionInfo& R, std::uint64_t origin,
+                         std::uint64_t m, Fn&& fn) {
+  std::uint64_t word = R.div_codeword.divide(origin);
+  auto lo = static_cast<std::uint32_t>(origin - word * R.codeword_bits);
+  while (m > 0) {
+    const auto len = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(R.codeword_bits - lo, m));
+    fn(word, lo, lo + len);
+    m -= len;
+    lo = 0;
+    ++word;
+  }
+}
+
+/// Gathers an interleaved strike's flips [origin, origin + flips),
+/// clipped at the surface edge, as (word, bit-in-codeword) hits:
+/// locate_strike_bit's arithmetic with the divides replaced by the
+/// magic multiply, hits past the last word (a partial final group)
+/// dropped. The hits go to scratch.hits (scratch.spill past
+/// kInlineHits) and are insertion-sorted by word — near-sorted input,
+/// since consecutive bits rotate over `interleave` words — then
+/// `fn(word, GroupMasks)` is called once per struck codeword,
+/// ascending, with the OR of its hits.
+template <class Fn>
+void for_each_interleaved_word(const BatchRegionInfo& R,
+                               CampaignScratch& scratch, std::uint64_t origin,
+                               std::uint32_t flips, Fn&& fn) {
+  using WordHit = std::pair<std::uint64_t, std::uint32_t>;
+  WordHit* hits = scratch.hits.data();
+  if (flips > CampaignScratch::kInlineHits) {
+    scratch.spill.clear();
+    scratch.spill.resize(flips);
+    hits = scratch.spill.data();
+  }
+  std::size_t n = 0;
+  for (std::uint32_t k = 0; k < flips && origin + k < R.physical_bits; ++k) {
+    const std::uint64_t g = origin + k;
+    const std::uint64_t group = R.div_group.divide(g);
+    const std::uint64_t within = g - group * R.group_bits;
+    const std::uint64_t word =
+        group * R.interleave + R.div_interleave.modulo(within);
+    if (word >= R.words) continue;
+    hits[n++] = WordHit{
+        word, static_cast<std::uint32_t>(R.div_interleave.divide(within))};
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const WordHit h = hits[i];
+    std::size_t j = i;
+    for (; j > 0 && hits[j - 1].first > h.first; --j) hits[j] = hits[j - 1];
+    hits[j] = h;
+  }
+  std::size_t i = 0;
+  while (i < n) {
+    const std::uint64_t word = hits[i].first;
+    GroupMasks gm{0, 0};
+    for (; i < n && hits[i].first == word; ++i) {
+      const std::uint32_t b = hits[i].second;
+      if (b < RegionGeometry::kDataBitsPerWord)
+        gm.data |= std::uint64_t{1} << b;
+      else
+        gm.check |= 1u << (b - RegionGeometry::kDataBitsPerWord);
+    }
+    fn(word, gm);
+  }
+}
+
+/// The epilogue every chunk engine shares: flushes the chunk's outcome
+/// tallies, its generator and its progress into the shard state.
+inline void finish_chunk(CampaignShardState& state, std::uint64_t end,
+                         const Rng& rng, std::uint64_t masked,
+                         std::uint64_t dre, std::uint64_t due,
+                         std::uint64_t sdc) noexcept {
+  state.partial.strikes += end - state.done;
+  state.partial.masked += masked;
+  state.partial.dre += dre;
+  state.partial.due += due;
+  state.partial.sdc += sdc;
+  state.rng = rng;
+  state.done = end;
+}
 
 /// Pre-ACE outcome of one struck codeword from its error pattern alone
 /// (the codecs are linear, so stored data never matters): what
@@ -177,9 +282,9 @@ StrikeOutcome word_outcome(ProtectionKind protection, std::uint64_t data_mask,
 /// patterns included — they are resolved through
 /// SecDedCodec::classify_pattern on the spot. Burns exactly one
 /// next_u64 per struck codeword — the documented RNG contract. The
-/// caller owns the ACE-occupancy draw: `R.ace_occupancy` must be 1.0
-/// (no draw taken here), which is how the temporal campaign applies its
-/// per-span ACE fractions after classification. Immune regions
+/// caller owns the ACE-occupancy draw: `R.ace` must be the always-kept
+/// arm (occupancy 1.0, no draw taken here), which is how the temporal
+/// campaign applies its per-span ACE fractions after classification. Immune regions
 /// early-out with no draw at all. A thin wrapper over the classifier
 /// the static engine inlines into its strike loop (injector_batch.cpp).
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,

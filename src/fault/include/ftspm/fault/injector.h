@@ -87,12 +87,25 @@ struct CampaignResult {
 
 class SensitivityGrid;
 
+namespace detail {
+
+/// Rng::next_bool's three arms resolved once per probability: mode 0
+/// (p <= 0, always false, no draw), mode 1 (p >= 1, always true, no
+/// draw), mode 2 (one draw compared against `bits` = ceil(p * 2^53) in
+/// the draw-bits domain). Built by make_draw_bernoulli and drawn by
+/// draw_bernoulli (fault/batch_engine.h).
+struct DrawBernoulli {
+  std::uint8_t mode = 1;
+  std::uint64_t bits = 0;
+};
+
+}  // namespace detail
+
 /// Per-region constants the campaign engines derive from an
 /// InjectionRegion once per chunk: geometry scalars hoisted out of the
 /// strike loop plus exact magic-multiply dividers for the bit -> (word,
 /// bit-in-codeword) aim arithmetic.
 struct BatchRegionInfo {
-  double weight = 0.0;  ///< physical_bits as double (discrete pick).
   std::uint64_t physical_bits = 0;
   std::uint64_t words = 0;
   std::uint32_t codeword_bits = 0;
@@ -100,7 +113,8 @@ struct BatchRegionInfo {
   /// codeword_bits * interleave: physical span of one interleave group.
   std::uint64_t group_bits = 0;
   ProtectionKind protection = ProtectionKind::None;
-  double ace_occupancy = 1.0;
+  /// The ACE-occupancy Bernoulli, resolved to next_bool's arms.
+  detail::DrawBernoulli ace;
   FastDiv64 div_codeword;    ///< by codeword_bits (interleave == 1 aim).
   FastDiv64 div_group;       ///< by group_bits (interleave > 1 aim).
   FastDiv64 div_interleave;  ///< by interleave (interleave > 1 aim).
@@ -113,17 +127,6 @@ struct BatchRegionInfo {
   /// the general per-word path instead; both paths share every RNG
   /// draw and produce identical outcomes.
   bool fast = false;
-  /// How the ACE-occupancy draw resolves: 0 = always masked (no draw),
-  /// 1 = always kept (no draw), 2 = one Bernoulli draw per non-masked
-  /// strike — mirroring Rng::next_bool's p <= 0 / p >= 1 / else arms.
-  std::uint8_t ace_mode = 1;
-  /// ceil(ace_occupancy * 2^53): the mode-2 Bernoulli draw in the
-  /// integer domain. next_double() returns (x >> 11) * 2^-53 exactly,
-  /// so `u < p  <=>  (x >> 11) < ceil(p * 2^53)` — the product is
-  /// exact (p < 1 keeps it under 2^53) and an integer u_bits is below
-  /// a real threshold iff it is below its ceiling. Comparing raw draw
-  /// bits resolves branches earlier than the convert-to-double chain.
-  std::uint64_t ace_bits = 0;
   /// Word-pattern outcome LUT for the fast path, indexed by
   /// min(popcount, 3) * 2 + parity: StrikeOutcome values 0..3, or 4 =
   /// a SEC-DED pattern only its real syndrome can classify (resolved
@@ -150,7 +153,8 @@ struct CampaignScratch {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> spill;
 
   /// Per-chunk tables of the chunk engines (the static
-  /// run_campaign_chunk and core's temporal campaign), rebuilt by
+  /// run_campaign_chunk, the live-array recovery campaign and core's
+  /// temporal campaign), rebuilt by
   /// detail::build_region_table at the start of every chunk with their
   /// capacity kept for the whole campaign. The strike loop reads them
   /// and resolves every strike where it lands; nothing is parked here

@@ -153,12 +153,9 @@ struct RecoveryShardSide {
   bool initialized = false;
   std::vector<RegionImage> images;
   RecoveryCounters counters;
-  /// Struck-word scratch of run_chunk (cleared per strike, capacity
-  /// kept across chunks). Pure workspace, never checkpointed.
-  std::vector<std::uint64_t> touched;
   /// The scrub sweep's dirty-word bitmap (recovery_batch.cpp): one bit
   /// per word of the region being swept, each set bit resolved in
-  /// place. Pure workspace like `touched`.
+  /// place. Pure workspace, never checkpointed.
   std::vector<std::uint64_t> batch_bitmap;
 };
 
@@ -191,11 +188,13 @@ class LiveArrayCampaign {
   /// outcome without affecting results.
   ///
   /// The engine (recovery_batch.cpp) runs integer-domain aim draws
-  /// over per-chunk region tables, scatters flips as XOR masks, and
-  /// classifies each demand-read or scrubbed word in place. Counters,
-  /// images, grids, and the RNG stream are bit-identical to the
-  /// strike-at-a-time reference loop (tests/support/campaign_oracles.h)
-  /// — pinned by tests/fault/batch_engine_test.cpp.
+  /// over the static engine's per-chunk region table (kept in
+  /// core.scratch), deposits each struck word's flips as XOR masks and
+  /// resolves the word in the same step, and classifies each scrubbed
+  /// word in place. Counters, images, grids, and the RNG stream are
+  /// bit-identical to the strike-at-a-time reference loop
+  /// (tests/support/campaign_oracles.h) — pinned by
+  /// tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;
@@ -217,13 +216,28 @@ class LiveArrayCampaign {
     Silent,         ///< Wrong value consumed without detection.
   };
 
-  /// Per-chunk constants of the strike loop (recovery_batch.cpp):
-  /// region tables with integer-domain draw thresholds and precomputed
-  /// repair costs, region-pick breakpoints, flip cutoffs.
-  struct BatchTables;
-  void build_batch_tables(BatchTables& tables, std::uint32_t max_flips) const;
-  void scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
-                           const BatchTables& tables) const;
+  /// What repairing a word of one region costs and draws, derived once
+  /// in the constructor (policy and regions are immutable): the scalars
+  /// resolve_word re-derived per word, with the dirty-data probability
+  /// resolved into next_bool's arms and the costs pre-multiplied.
+  struct RepairCosts {
+    bool has_check = false;
+    bool scrub = false;
+    detail::DrawBernoulli dirty;  ///< dirty_fraction (DUE escalation).
+    std::uint32_t write_latency = 0;
+    double write_energy = 0.0;
+    /// Bulk per-sweep read cost of this region (words * per-read).
+    std::uint64_t scrub_read_cycles = 0;
+    double scrub_read_energy = 0.0;
+    /// One DMA re-fetch, exactly as handle_due books it.
+    std::uint64_t refetch_cycles = 0;
+    double refetch_energy = 0.0;
+  };
+
+  /// One scrub pass over the regions flagged for scrubbing, `table`
+  /// being the chunk's region table (recovery_batch.cpp).
+  void scrub_sweep(RecoveryShardSide& side, Rng& rng,
+                   const BatchRegionInfo* table) const;
 
   /// Re-encodes `value` into the stored codeword (ground truth is the
   /// caller's business — a hardware write-back never learns it).
@@ -233,7 +247,7 @@ class LiveArrayCampaign {
   std::vector<RecoveryRegion> regions_;
   const StrikeMultiplicityModel& strikes_;
   RecoveryPolicy policy_;
-  std::vector<double> weights_;
+  std::vector<RepairCosts> repair_;
 };
 
 }  // namespace ftspm

@@ -35,10 +35,11 @@
 // the exported detail::classify_batch_strike wrapper.
 //
 // The draw-domain primitives (integer-image Bernoulli/discrete picks,
-// flip cutoffs, the region table build) live in
-// ftspm/fault/batch_engine.h and are shared with the recovery and
-// temporal engines (recovery_batch.cpp, system_campaign_batch.cpp);
-// the non-trivial ones are defined at the bottom of this file.
+// flip cutoffs, the region table build), the per-codeword run splitter
+// and the interleaved-hit gatherer live in ftspm/fault/batch_engine.h
+// and are shared with the recovery and temporal engines
+// (recovery_batch.cpp, system_campaign_batch.cpp); the non-trivial
+// ones are defined at the bottom of this file.
 //
 // Equivalence contract: identical counters, grids, and RNG stream
 // position to the per-strike loop for every (regions, strikes, config,
@@ -46,10 +47,8 @@
 // classify_strike and end to end by the CampaignGolden suite
 // (tests/integration/campaign_golden_test.cpp).
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/injector.h"
@@ -62,26 +61,12 @@ using detail::group_masks;
 using detail::GroupMasks;
 using detail::kDrawBitsEnd;
 using detail::pick_region;
-using detail::prob_to_draw_bits;
 
 namespace {
 
 /// class_lut value for a SEC-DED run of >= 3 bits: only the real
 /// syndrome can classify it.
 constexpr std::uint8_t kSyndromeClass = 4;
-
-/// Mask of data-word bits [lo, hi), hi <= 64, lo < hi.
-inline std::uint64_t range_mask64(std::uint32_t lo, std::uint32_t hi) {
-  const std::uint32_t len = hi - lo;
-  return (len >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1) << lo;
-}
-
-/// Mask of check bits [lo, hi) (0-based above the data word), hi - lo
-/// <= 32 — check_mask has always been accumulated in 32 bits.
-inline std::uint32_t range_mask32(std::uint32_t lo, std::uint32_t hi) {
-  const std::uint32_t len = hi - lo;
-  return (len >= 32 ? ~0u : (1u << len) - 1) << lo;
-}
 
 /// Whether (protection, geometry) qualifies for the LUT classify path:
 /// every word pattern's outcome must be a function of
@@ -147,93 +132,33 @@ void build_class_lut(ProtectionKind protection, std::uint8_t (&lut)[8]) {
 [[gnu::noinline]] std::uint8_t classify_general_strike(
     const BatchRegionInfo& R, Rng& rng, CampaignScratch& scratch,
     std::uint64_t origin, std::uint32_t flips, std::uint8_t& ace_keep_out) {
-  const std::uint32_t cw = R.codeword_bits;
   StrikeOutcome worst = StrikeOutcome::Masked;
-  const auto note_word = [&](std::uint64_t data_mask,
-                             std::uint32_t check_mask) {
+  const auto note_word = [&](std::uint64_t, GroupMasks gm) {
     // One draw per struck codeword — the retained oracle draw the
     // RNG contract pins (docs/performance.md).
     (void)rng.next_u64();
-    worst = std::max(
-        worst, detail::word_outcome(R.protection, data_mask, check_mask));
+    worst = std::max(worst,
+                     detail::word_outcome(R.protection, gm.data, gm.check));
   };
-
   if (R.interleave <= 1) {
     // Contiguous aim: surviving flips clip at the surface edge and
     // split into runs of consecutive bits per codeword, so each
     // word's masks are plain bit ranges — no per-bit loop, no sort.
-    auto remaining = static_cast<std::uint64_t>(
-        std::min<std::uint64_t>(flips, R.physical_bits - origin));
-    std::uint64_t word = R.div_codeword.divide(origin);
-    auto bit = static_cast<std::uint32_t>(origin - word * cw);
-    while (remaining > 0) {
-      const auto len = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(cw - bit, remaining));
-      const std::uint32_t hi = bit + len;
-      std::uint64_t data_mask = 0;
-      std::uint32_t check_mask = 0;
-      if (bit < RegionGeometry::kDataBitsPerWord)
-        data_mask = range_mask64(
-            bit, std::min(hi, RegionGeometry::kDataBitsPerWord));
-      if (hi > RegionGeometry::kDataBitsPerWord)
-        check_mask = range_mask32(
-            std::max(bit, RegionGeometry::kDataBitsPerWord) -
-                RegionGeometry::kDataBitsPerWord,
-            hi - RegionGeometry::kDataBitsPerWord);
-      note_word(data_mask, check_mask);
-      remaining -= len;
-      bit = 0;
-      ++word;
-    }
+    detail::for_each_run(
+        R, origin, std::min<std::uint64_t>(flips, R.physical_bits - origin),
+        [&](std::uint64_t word, std::uint32_t lo, std::uint32_t hi) {
+          note_word(word, group_masks(lo, hi));
+        });
   } else {
     // Interleaved aim (the ablation path): per-bit located hits,
-    // word-sorted, grouped — the shape of the per-strike
-    // classifier, with the divides replaced by the magic multiply.
-    using WordHit = std::pair<std::uint64_t, std::uint32_t>;
-    WordHit* hits = scratch.hits.data();
-    if (flips > CampaignScratch::kInlineHits) {
-      scratch.spill.clear();
-      scratch.spill.resize(flips);
-      hits = scratch.spill.data();
-    }
-    std::size_t n = 0;
-    for (std::uint32_t k = 0; k < flips && origin + k < R.physical_bits;
-         ++k) {
-      const std::uint64_t g = origin + k;
-      const std::uint64_t group = R.div_group.divide(g);
-      const std::uint64_t within = g - group * R.group_bits;
-      const std::uint64_t word =
-          group * R.interleave + R.div_interleave.modulo(within);
-      if (word >= R.words) continue;
-      hits[n++] = WordHit{
-          word, static_cast<std::uint32_t>(R.div_interleave.divide(within))};
-    }
-    for (std::size_t i = 1; i < n; ++i) {
-      const WordHit h = hits[i];
-      std::size_t j = i;
-      for (; j > 0 && hits[j - 1].first > h.first; --j) hits[j] = hits[j - 1];
-      hits[j] = h;
-    }
-    std::size_t i = 0;
-    while (i < n) {
-      const std::uint64_t word = hits[i].first;
-      std::uint64_t data_mask = 0;
-      std::uint32_t check_mask = 0;
-      for (; i < n && hits[i].first == word; ++i) {
-        const std::uint32_t b = hits[i].second;
-        if (b < RegionGeometry::kDataBitsPerWord)
-          data_mask |= std::uint64_t{1} << b;
-        else
-          check_mask |= 1u << (b - RegionGeometry::kDataBitsPerWord);
-      }
-      note_word(data_mask, check_mask);
-    }
+    // word-sorted, grouped — the shape of the per-strike classifier.
+    detail::for_each_interleaved_word(R, scratch, origin, flips, note_word);
   }
 
   // ACE draw, in stream position: exactly when the pre-ACE outcome is
   // not Masked, like the per-strike loop.
   if (worst != StrikeOutcome::Masked)
-    ace_keep_out = rng.next_bool(R.ace_occupancy) ? 1 : 0;
+    ace_keep_out = detail::draw_bernoulli(rng, R.ace) ? 1 : 0;
   else
     ace_keep_out = 1;
   return static_cast<std::uint8_t>(worst);
@@ -246,25 +171,17 @@ void build_class_lut(ProtectionKind protection, std::uint8_t (&lut)[8]) {
 /// order matches the inline path — one burned draw per struck
 /// codeword, in address order.
 [[gnu::noinline]] std::uint8_t classify_straddle_strike(
-    const BatchRegionInfo& R, Rng& rng, std::uint32_t bit, std::uint64_t m) {
-  const std::uint32_t cw = R.codeword_bits;
+    const BatchRegionInfo& R, Rng& rng, std::uint64_t origin,
+    std::uint64_t m) {
   std::uint8_t worst = 0;
-  std::uint64_t remaining = m;
-  while (remaining > 0) {
-    const auto len =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(cw - bit, remaining));
-    (void)rng.next_u64();
-    const GroupMasks gm = group_masks(bit, bit + len);
-    const auto b = static_cast<std::uint32_t>(std::popcount(gm.data) +
-                                              std::popcount(gm.check));
-    std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-    if (cls == kSyndromeClass)
-      cls = static_cast<std::uint8_t>(
-          detail::word_outcome(ProtectionKind::SecDed, gm.data, gm.check));
-    worst = std::max(worst, cls);
-    remaining -= len;
-    bit = 0;
-  }
+  detail::for_each_run(
+      R, origin, m, [&](std::uint64_t, std::uint32_t lo, std::uint32_t hi) {
+        (void)rng.next_u64();
+        const std::uint32_t b = hi - lo;
+        std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
+        if (cls == kSyndromeClass) cls = secded_run_outcome(lo, hi);
+        worst = std::max(worst, cls);
+      });
   return worst;
 }
 
@@ -302,17 +219,14 @@ void build_class_lut(ProtectionKind protection, std::uint8_t (&lut)[8]) {
       // generator must never have its address taken, or it cannot stay
       // in registers across the loop.
       Rng out_of_line = rng;
-      worst = classify_straddle_strike(R, out_of_line, bit, m);
+      worst = classify_straddle_strike(R, out_of_line, origin, m);
       rng = out_of_line;
     }
     // The ACE draw, unconditional for fast strikes (never Masked
     // pre-ACE): next_bool's three arms resolved at table build — modes
     // 0 / 1 skip the draw, mode 2 compares one draw in the draw-bits
     // domain.
-    if (R.ace_mode == 2)
-      keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-    else
-      keep = R.ace_mode;
+    keep = detail::draw_bernoulli(rng, R.ace) ? 1 : 0;
     return worst;
   }
   Rng out_of_line = rng;
@@ -369,50 +283,30 @@ void build_pick_bits(const std::vector<double>& weights, double total,
   }
 }
 
-void build_region_table(const std::vector<InjectionRegion>& regions,
-                        CampaignScratch::Batch& batch) {
-  std::vector<BatchRegionInfo>& table = batch.regions;
-  std::vector<double>& weights = batch.weights;
-  table.clear();
-  table.reserve(regions.size());
-  weights.clear();
-  weights.reserve(regions.size());
-  double total = 0.0;
-  for (const auto& r : regions) {
-    FTSPM_REQUIRE(r.ace_occupancy >= 0.0 && r.ace_occupancy <= 1.0,
-                  "ace_occupancy out of [0,1]");
-    FTSPM_REQUIRE(r.interleave >= 1, "interleave degree must be >= 1");
-    BatchRegionInfo info;
-    info.physical_bits = r.geometry.physical_bits();
-    info.weight = static_cast<double>(info.physical_bits);
-    info.words = r.geometry.words();
-    info.codeword_bits = r.geometry.codeword_bits();
-    info.interleave = r.interleave;
-    info.group_bits =
-        static_cast<std::uint64_t>(info.codeword_bits) * r.interleave;
-    info.protection = r.protection;
-    info.ace_occupancy = r.ace_occupancy;
-    info.div_codeword = FastDiv64(info.codeword_bits, info.physical_bits);
-    if (r.interleave > 1) {
-      info.div_group = FastDiv64(info.group_bits, info.physical_bits);
-      info.div_interleave = FastDiv64(r.interleave, info.group_bits);
-    }
-    info.fast = r.interleave == 1 && info.physical_bits > 0 &&
-                lut_classifiable(r.protection,
-                                 r.geometry.check_bits_per_word());
-    if (info.fast) build_class_lut(r.protection, info.class_lut);
-    info.ace_mode = r.ace_occupancy <= 0.0   ? std::uint8_t{0}
-                    : r.ace_occupancy >= 1.0 ? std::uint8_t{1}
-                                             : std::uint8_t{2};
-    if (info.ace_mode == 2)
-      info.ace_bits = prob_to_draw_bits(r.ace_occupancy);
-    // next_discrete validated the weights on every strike; the weights
-    // are per-chunk constants, so once per chunk is the same check.
-    total += info.weight;
-    weights.push_back(info.weight);
-    table.push_back(info);
+BatchRegionInfo make_region_info(const InjectionRegion& r) {
+  // next_discrete and next_bool validated these on every strike; the
+  // region is a per-chunk constant, so once per chunk is the same check.
+  FTSPM_REQUIRE(r.ace_occupancy >= 0.0 && r.ace_occupancy <= 1.0,
+                "ace_occupancy out of [0,1]");
+  FTSPM_REQUIRE(r.interleave >= 1, "interleave degree must be >= 1");
+  BatchRegionInfo info;
+  info.physical_bits = r.geometry.physical_bits();
+  info.words = r.geometry.words();
+  info.codeword_bits = r.geometry.codeword_bits();
+  info.interleave = r.interleave;
+  info.group_bits =
+      static_cast<std::uint64_t>(info.codeword_bits) * r.interleave;
+  info.protection = r.protection;
+  info.ace = make_draw_bernoulli(r.ace_occupancy);
+  info.div_codeword = FastDiv64(info.codeword_bits, info.physical_bits);
+  if (r.interleave > 1) {
+    info.div_group = FastDiv64(info.group_bits, info.physical_bits);
+    info.div_interleave = FastDiv64(r.interleave, info.group_bits);
   }
-  build_pick_bits(weights, total, batch.pick_bits, batch.pick_fallback);
+  info.fast = r.interleave == 1 && info.physical_bits > 0 &&
+              lut_classifiable(r.protection, r.geometry.check_bits_per_word());
+  if (info.fast) build_class_lut(r.protection, info.class_lut);
+  return info;
 }
 
 FlipCutoffs make_flip_cutoffs(const StrikeMultiplicityModel& strikes,
@@ -496,13 +390,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
     if (grid != nullptr)
       grid->record(ri, origin, static_cast<StrikeOutcome>(o));
   }
-  state.partial.strikes += end - state.done;
-  state.partial.masked += n_masked;
-  state.partial.dre += n_dre;
-  state.partial.due += n_due;
-  state.partial.sdc += n_sdc;
-  state.rng = rng;
-  state.done = end;
+  detail::finish_chunk(state, end, rng, n_masked, n_dre, n_due, n_sdc);
 }
 
 }  // namespace ftspm

@@ -1,7 +1,10 @@
 #include "ftspm/fault/recovery.h"
 
+#include <algorithm>
+
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
+#include "ftspm/fault/batch_engine.h"
 #include "ftspm/obs/metrics.h"
 #include "ftspm/util/error.h"
 
@@ -58,14 +61,31 @@ LiveArrayCampaign::LiveArrayCampaign(std::vector<RecoveryRegion> regions,
                                      const RecoveryPolicy& policy)
     : regions_(std::move(regions)), strikes_(strikes), policy_(policy) {
   FTSPM_REQUIRE(!regions_.empty(), "campaign needs at least one region");
-  weights_.reserve(regions_.size());
+  repair_.reserve(regions_.size());
   for (const RecoveryRegion& r : regions_) {
     FTSPM_REQUIRE(r.inject.ace_occupancy >= 0.0 && r.inject.ace_occupancy <= 1.0,
                   "ace_occupancy out of [0,1]");
     FTSPM_REQUIRE(r.inject.interleave >= 1, "interleave degree must be >= 1");
     FTSPM_REQUIRE(r.dirty_fraction >= 0.0 && r.dirty_fraction <= 1.0,
                   "dirty_fraction out of [0,1]");
-    weights_.push_back(static_cast<double>(r.inject.geometry.physical_bits()));
+    const std::uint64_t words = r.inject.geometry.words();
+    const std::uint64_t refetch_words =
+        std::max<std::uint64_t>(1, r.refetch_words);
+    const std::uint64_t per_word = std::max<std::uint32_t>(
+        policy_.dma_word_cycles, r.tech.write_latency_cycles);
+    RepairCosts c;
+    c.has_check = r.inject.geometry.check_bits_per_word() != 0;
+    c.scrub = r.scrub;
+    c.dirty = detail::make_draw_bernoulli(r.dirty_fraction);
+    c.write_latency = r.tech.write_latency_cycles;
+    c.write_energy = r.tech.write_energy_pj;
+    c.scrub_read_cycles = words * r.tech.read_latency_cycles;
+    c.scrub_read_energy = static_cast<double>(words) * r.tech.read_energy_pj;
+    c.refetch_cycles = policy_.dma_setup_cycles + policy_.dma_line_cycles +
+                       refetch_words * per_word;
+    c.refetch_energy = static_cast<double>(refetch_words) *
+                       (policy_.dram_read_energy_pj + r.tech.write_energy_pj);
+    repair_.push_back(c);
   }
 }
 

@@ -7,12 +7,16 @@
 // static engine's machinery (batch_engine.h), resolving every struck
 // word where it is read:
 //
-//  * aim draws become integer compares against per-chunk tables —
-//    region-pick breakpoints, Bernoulli thresholds, flip cutoffs — each
-//    bit-identical to the Rng primitive it replaces;
-//  * an uninterleaved strike deposits its flips as one or two XOR
-//    masks (group_masks) instead of bit-by-bit locate calls, and the
-//    struck words come out ascending and unique for free;
+//  * aim draws become integer compares against the static engine's
+//    per-chunk region table (detail::build_region_table, kept in the
+//    shard's scratch) — region-pick breakpoints, the ACE Bernoulli,
+//    flip cutoffs — each bit-identical to the Rng primitive it
+//    replaces; the repair costs are one row per region, built once by
+//    the constructor;
+//  * a strike's flips split into struck words through the engines'
+//    shared splitter (uninterleaved: one XOR mask pair per codeword
+//    run) or gatherer (interleaved: word-sorted hits), ascending and
+//    unique, and each word is deposited and resolved in one step;
 //  * a demand read takes the word's error pattern (data ^ truth,
 //    check ^ truth_check) and classifies it in place: 1- and 2-bit
 //    SEC-DED patterns by the distance-4 popcount shortcuts, parity by
@@ -47,40 +51,6 @@
 #include "ftspm/util/error.h"
 
 namespace ftspm {
-
-/// Per-chunk constants of the strike loop: every scalar resolve_word
-/// re-derived per word, hoisted to one cache-friendly row per region,
-/// with the draw probabilities pre-resolved into next_bool's three arms
-/// (DrawBernoulli) and the repair costs pre-multiplied.
-struct LiveArrayCampaign::BatchTables {
-  struct Region {
-    std::uint64_t physical_bits = 0;
-    std::uint64_t words = 0;
-    std::uint32_t codeword_bits = 0;
-    std::uint32_t interleave = 1;
-    std::uint64_t group_bits = 0;
-    FastDiv64 div_codeword;    ///< by codeword_bits (interleave == 1).
-    FastDiv64 div_group;       ///< by group_bits (interleave > 1).
-    FastDiv64 div_interleave;  ///< by interleave (interleave > 1).
-    ProtectionKind protection = ProtectionKind::None;
-    bool has_check = false;
-    bool scrub = false;
-    detail::DrawBernoulli ace;    ///< inject.ace_occupancy.
-    detail::DrawBernoulli dirty;  ///< dirty_fraction (DUE escalation).
-    std::uint32_t write_latency = 0;
-    double write_energy = 0.0;
-    /// Bulk per-sweep read cost of this region (words * per-read).
-    std::uint64_t scrub_read_cycles = 0;
-    double scrub_read_energy = 0.0;
-    /// One DMA re-fetch, exactly as handle_due books it.
-    std::uint64_t refetch_cycles = 0;
-    double refetch_energy = 0.0;
-  };
-  std::vector<Region> regions;
-  std::vector<std::uint64_t> pick_bits;
-  std::size_t pick_fallback = 0;
-  detail::FlipCutoffs cuts;
-};
 
 namespace {
 
@@ -136,62 +106,16 @@ bool verify_secded_popcount_shortcuts() {
 
 }  // namespace
 
-void LiveArrayCampaign::build_batch_tables(BatchTables& tables,
-                                           std::uint32_t max_flips) const {
-  tables.regions.clear();
-  tables.regions.reserve(regions_.size());
-  for (const RecoveryRegion& r : regions_) {
-    const RegionGeometry& g = r.inject.geometry;
-    BatchTables::Region b;
-    b.physical_bits = g.physical_bits();
-    b.words = g.words();
-    b.codeword_bits = g.codeword_bits();
-    b.interleave = r.inject.interleave;
-    b.group_bits = static_cast<std::uint64_t>(b.codeword_bits) * b.interleave;
-    b.div_codeword = FastDiv64(b.codeword_bits, b.physical_bits);
-    if (b.interleave > 1) {
-      b.div_group = FastDiv64(b.group_bits, b.physical_bits);
-      b.div_interleave = FastDiv64(b.interleave, b.group_bits);
-    }
-    b.protection = r.inject.protection;
-    b.has_check = g.check_bits_per_word() != 0;
-    b.scrub = r.scrub;
-    b.ace = detail::make_draw_bernoulli(r.inject.ace_occupancy);
-    b.dirty = detail::make_draw_bernoulli(r.dirty_fraction);
-    b.write_latency = r.tech.write_latency_cycles;
-    b.write_energy = r.tech.write_energy_pj;
-    b.scrub_read_cycles = b.words * r.tech.read_latency_cycles;
-    b.scrub_read_energy =
-        static_cast<double>(b.words) * r.tech.read_energy_pj;
-    const std::uint64_t refetch_words =
-        std::max<std::uint64_t>(1, r.refetch_words);
-    const std::uint64_t per_word = std::max<std::uint32_t>(
-        policy_.dma_word_cycles, r.tech.write_latency_cycles);
-    b.refetch_cycles = policy_.dma_setup_cycles + policy_.dma_line_cycles +
-                       refetch_words * per_word;
-    b.refetch_energy =
-        static_cast<double>(refetch_words) *
-        (policy_.dram_read_energy_pj + r.tech.write_energy_pj);
-    tables.regions.push_back(b);
-  }
-  // next_discrete accumulated the total left to right on every strike;
-  // the breakpoints must see the identical sum.
-  double total = 0.0;
-  for (const double w : weights_) total += w;
-  detail::build_pick_bits(weights_, total, tables.pick_bits,
-                          tables.pick_fallback);
-  tables.cuts = detail::make_flip_cutoffs(strikes_, max_flips);
-}
-
-void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
-                                            const BatchTables& tables) const {
+void LiveArrayCampaign::scrub_sweep(RecoveryShardSide& side, Rng& rng,
+                                    const BatchRegionInfo* table) const {
   ++side.counters.scrub_passes;
-  for (std::size_t ri = 0; ri < tables.regions.size(); ++ri) {
-    const BatchTables::Region& R = tables.regions[ri];
-    if (!R.scrub) continue;
+  for (std::size_t ri = 0; ri < regions_.size(); ++ri) {
+    const BatchRegionInfo& R = table[ri];
+    const RepairCosts& C = repair_[ri];
+    if (!C.scrub) continue;
     side.counters.scrub_words += R.words;
-    side.counters.recovery_cycles += R.scrub_read_cycles;
-    side.counters.recovery_energy_pj += R.scrub_read_energy;
+    side.counters.recovery_cycles += C.scrub_read_cycles;
+    side.counters.recovery_energy_pj += C.scrub_read_energy;
     // Immune arrays are swept as a retention refresh (cost only);
     // unchecked arrays cannot surface an error to the scrubber at all —
     // the reference resolve_word returns Clean for every word of both,
@@ -235,12 +159,12 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
     // arms verbatim. Only a detected-uncorrectable word draws.
     const auto refetch = [&](std::uint64_t w) {
       restore_clean(R.protection, image, w);
-      if (detail::draw_bernoulli(rng, R.dirty)) {
+      if (detail::draw_bernoulli(rng, C.dirty)) {
         ++side.counters.unrecoverable;
       } else {
         ++side.counters.refetches;
-        side.counters.recovery_cycles += R.refetch_cycles;
-        side.counters.recovery_energy_pj += R.refetch_energy;
+        side.counters.recovery_cycles += C.refetch_cycles;
+        side.counters.recovery_energy_pj += C.refetch_energy;
       }
     };
     for (std::size_t bw = 0; bw < bitmap_words; ++bw) {
@@ -279,8 +203,8 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
                   image.truth_check[w] ^
                   SecDedCodec::compute_check(p.residual_mask));
             }
-            side.counters.recovery_cycles += R.write_latency;
-            side.counters.recovery_energy_pj += R.write_energy;
+            side.counters.recovery_cycles += C.write_latency;
+            side.counters.recovery_energy_pj += C.write_energy;
             break;
           case DecodeStatus::Detected:
             refetch(w);
@@ -322,17 +246,17 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
       verify_secded_popcount_shortcuts();
   (void)secded_shortcuts_proven;
 
-  BatchTables tables;
-  build_batch_tables(tables, config.max_flips);
-  const BatchTables::Region* const region_table = tables.regions.data();
-  const std::uint64_t* const pick_breaks = tables.pick_bits.data();
-  const std::size_t region_count = tables.regions.size();
-  const std::size_t pick_fallback = tables.pick_fallback;
-  const detail::FlipCutoffs cuts = tables.cuts;
+  CampaignScratch::Batch& batch = core.scratch.batch;
+  detail::build_region_table(regions_, batch, &RecoveryRegion::inject);
+  const detail::FlipCutoffs cuts =
+      detail::make_flip_cutoffs(strikes_, config.max_flips);
+  const BatchRegionInfo* const region_table = batch.regions.data();
+  const std::uint64_t* const pick_breaks = batch.pick_bits.data();
+  const std::size_t region_count = batch.regions.size();
+  const std::size_t pick_fallback = batch.pick_fallback;
 
   // The generator runs as a stack copy, written back once per chunk.
   Rng rng = core.rng;
-  std::vector<std::uint64_t>& touched = side.touched;
   RecoveryCounters& counters = side.counters;
 
   // Scrub cadence as a countdown, sparing the per-strike modulo.
@@ -349,193 +273,162 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     // Aim draws in the reference order: region, origin, multiplicity.
     const std::size_t ri =
         detail::pick_region(rng, pick_breaks, region_count, pick_fallback);
-    const BatchTables::Region& R = region_table[ri];
+    const BatchRegionInfo& R = region_table[ri];
+    const RepairCosts& C = repair_[ri];
     const std::uint64_t origin = rng.next_below(R.physical_bits);
     const std::uint32_t flips =
         detail::sample_flips_draw(rng, cuts, config.max_flips);
 
     StrikeOutcome outcome = StrikeOutcome::Masked;
-    if (R.protection != ProtectionKind::Immune) {
-      RegionImage& image = side.images[ri];
-      touched.clear();
-      const std::uint64_t m =
-          std::min<std::uint64_t>(flips, R.physical_bits - origin);
-      if (R.interleave == 1) {
-        // Contiguous flips split into per-codeword runs: one XOR mask
-        // pair per struck word, words ascending and unique by
-        // construction (matching the reference's sort + unique).
-        std::uint64_t word = R.div_codeword.divide(origin);
-        auto bit = static_cast<std::uint32_t>(origin - word * R.codeword_bits);
-        std::uint64_t remaining = m;
-        while (remaining > 0) {
-          const auto len = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(R.codeword_bits - bit, remaining));
-          const detail::GroupMasks gm = detail::group_masks(bit, bit + len);
-          image.data[word] ^= gm.data;
-          if (gm.check != 0)
-            image.check[word] =
-                static_cast<std::uint8_t>(image.check[word] ^ gm.check);
-          touched.push_back(word);
-          ++word;
-          bit = 0;
-          remaining -= len;
-        }
-      } else {
-        // Interleaved: each flip lands in its own codeword via the
-        // magic-multiply form of locate_strike_bit's arithmetic.
-        for (std::uint64_t k = 0; k < m; ++k) {
-          const std::uint64_t index = origin + k;
-          const std::uint64_t group = R.div_group.divide(index);
-          const std::uint64_t within = index - group * R.group_bits;
-          const std::uint64_t cw_bit = R.div_interleave.divide(within);
-          const std::uint64_t lane = within - cw_bit * R.interleave;
-          const std::uint64_t word = group * R.interleave + lane;
-          if (word >= R.words) continue;  // partial final group
-          if (cw_bit < RegionGeometry::kDataBitsPerWord) {
-            image.data[word] ^= std::uint64_t{1} << cw_bit;
-          } else {
-            image.check[word] = static_cast<std::uint8_t>(
-                image.check[word] ^
-                (1u << (cw_bit - RegionGeometry::kDataBitsPerWord)));
-          }
-          touched.push_back(word);
-        }
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
-      }
+    RegionImage& image = side.images[ri];
 
-      // Demand walk. ace mode 0 (occupancy <= 0) skips every word with
-      // no draw in the reference too — the flips stay latent either
-      // way. Otherwise each word that survives its ACE draw is read and
-      // classified on the spot: classification is draw-free and
-      // resolving word w only rewrites word w.
-      if (R.ace.mode != 0) {
-        for (const std::uint64_t w : touched) {
-          if (!detail::draw_bernoulli(rng, R.ace)) continue;
-          ++counters.demand_reads;
-          const std::uint64_t data_mask = image.data[w] ^ image.truth[w];
-          const std::uint8_t check_mask =
-              R.has_check ? static_cast<std::uint8_t>(image.check[w] ^
-                                                      image.truth_check[w])
-                          : std::uint8_t{0};
+    // Deposits one struck word's flips and resolves the word on the
+    // spot. Words come ascending and unique from both aim paths (the
+    // reference's sort + unique), and resolving word w only ever
+    // touches w, so depositing the later words afterwards changes
+    // nothing the demand read sees. An ACE-masked word (or every word
+    // at occupancy <= 0, which takes no draw) keeps its flips latent.
+    // Otherwise the word is read and classified in place:
+    // classification is draw-free. Forced inline (GNU attribute syntax:
+    // GCC ignores [[gnu::always_inline]] on a lambda): with two aim
+    // paths calling it, GCC outlines it otherwise and reaches every
+    // capture through memory, which slowed the recovery campaign.
+    const auto strike_word = [&](std::uint64_t w, detail::GroupMasks gm)
+                                 __attribute__((always_inline)) {
+      image.data[w] ^= gm.data;
+      if (gm.check != 0)
+        image.check[w] = static_cast<std::uint8_t>(image.check[w] ^ gm.check);
+      if (!detail::draw_bernoulli(rng, R.ace)) return;
+      ++counters.demand_reads;
+      const std::uint64_t data_mask = image.data[w] ^ image.truth[w];
+      const std::uint8_t check_mask =
+          C.has_check ? static_cast<std::uint8_t>(image.check[w] ^
+                                                  image.truth_check[w])
+                      : std::uint8_t{0};
 
-          // A detected-uncorrectable word is restored to its truth
-          // either way; with repair on, the re-fetch is booked (or
-          // dirty data escalates) — resolve_word's handle_due verbatim.
-          const auto handle_due = [&]() {
+      // A detected-uncorrectable word is restored to its truth either
+      // way; with repair on, the re-fetch is booked (or dirty data
+      // escalates) — resolve_word's handle_due verbatim.
+      const auto handle_due = [&]() {
+        restore_clean(R.protection, image, w);
+        if (!policy_.recover) return WordRepair::Detected;
+        if (detail::draw_bernoulli(rng, C.dirty)) {
+          ++counters.unrecoverable;
+          return WordRepair::Unrecoverable;
+        }
+        ++counters.refetches;
+        counters.recovery_cycles += C.refetch_cycles;
+        counters.recovery_energy_pj += C.refetch_energy;
+        return WordRepair::Refetched;
+      };
+
+      WordRepair repair = WordRepair::Clean;
+      if (R.protection == ProtectionKind::None) {
+        // Unchecked words never see their check-half geometry (the
+        // reference compares data alone); corruption is consumed.
+        if (data_mask != 0) {
+          ++counters.sdc_reads;
+          image.truth[w] = image.data[w];
+          repair = WordRepair::Silent;
+        }
+      } else if ((data_mask | static_cast<std::uint64_t>(check_mask)) == 0) {
+        repair = WordRepair::Clean;
+      } else if (R.protection == ProtectionKind::Parity) {
+        if ((parity64(data_mask) ^ (check_mask & 1)) != 0) {
+          repair = handle_due();
+        } else {
+          // Even-flip alias consumed: the new truth's parity is the
+          // cached clean parity folded with the residual's (the code is
+          // linear).
+          ++counters.sdc_reads;
+          image.truth[w] ^= data_mask;
+          image.truth_check[w] = static_cast<std::uint8_t>(
+              image.truth_check[w] ^ parity64(data_mask));
+          repair = WordRepair::Silent;
+        }
+      } else if (int pc = std::popcount(data_mask) +
+                          std::popcount(static_cast<unsigned>(check_mask));
+                 pc <= 2) {  // SecDed, distance-4 shortcuts
+        if (pc == 1) {
+          // A single surviving flip decodes straight back to the clean
+          // word (verify_secded_popcount_shortcuts) — the Corrected /
+          // residual == 0 arm below.
+          if (policy_.recover) {
             restore_clean(R.protection, image, w);
-            if (!policy_.recover) return WordRepair::Detected;
-            if (detail::draw_bernoulli(rng, R.dirty)) {
-              ++counters.unrecoverable;
-              return WordRepair::Unrecoverable;
-            }
-            ++counters.refetches;
-            counters.recovery_cycles += R.refetch_cycles;
-            counters.recovery_energy_pj += R.refetch_energy;
-            return WordRepair::Refetched;
-          };
-
-          WordRepair repair = WordRepair::Clean;
-          if (R.protection == ProtectionKind::None) {
-            // Unchecked words never see their check-half geometry (the
-            // reference compares data alone); corruption is consumed.
-            if (data_mask != 0) {
-              ++counters.sdc_reads;
-              image.truth[w] = image.data[w];
-              repair = WordRepair::Silent;
-            }
-          } else if ((data_mask |
-                      static_cast<std::uint64_t>(check_mask)) == 0) {
-            repair = WordRepair::Clean;
-          } else if (R.protection == ProtectionKind::Parity) {
-            if ((parity64(data_mask) ^ (check_mask & 1)) != 0) {
-              repair = handle_due();
-            } else {
-              // Even-flip alias consumed: the new truth's parity is the
-              // cached clean parity folded with the residual's (the
-              // code is linear).
-              ++counters.sdc_reads;
-              image.truth[w] ^= data_mask;
-              image.truth_check[w] = static_cast<std::uint8_t>(
-                  image.truth_check[w] ^ parity64(data_mask));
-              repair = WordRepair::Silent;
-            }
-          } else if (int pc = std::popcount(data_mask) +
-                              std::popcount(static_cast<unsigned>(check_mask));
-                     pc <= 2) {  // SecDed, distance-4 shortcuts
-            if (pc == 1) {
-              // A single surviving flip decodes straight back to the
-              // clean word (verify_secded_popcount_shortcuts) — the
-              // Corrected / residual == 0 arm below.
+            counters.recovery_cycles += C.write_latency;
+            counters.recovery_energy_pj += C.write_energy;
+            ++counters.corrections;
+          }
+          repair = WordRepair::Corrected;
+        } else {
+          // Every 2-bit pattern raises the detected flag (ditto).
+          repair = handle_due();
+        }
+      } else {  // SecDed, >= 3 surviving bits: real syndrome
+        const PatternDecode p =
+            SecDedCodec::classify_pattern(data_mask, check_mask);
+        switch (p.status) {
+          case DecodeStatus::Clean:
+            // Aliased to a valid codeword of the wrong data: the
+            // residual is the data mask itself, and its check image
+            // folds into the cached truth_check (linearity).
+            ++counters.sdc_reads;
+            image.truth[w] ^= data_mask;
+            image.truth_check[w] = static_cast<std::uint8_t>(
+                image.truth_check[w] ^ SecDedCodec::compute_check(data_mask));
+            repair = WordRepair::Silent;
+            break;
+          case DecodeStatus::Corrected: {
+            const std::uint64_t residual = p.residual_mask;
+            if (residual == 0) {
+              // Right correction: the decoder rewrote the clean
+              // encoding truth/truth_check already hold.
               if (policy_.recover) {
                 restore_clean(R.protection, image, w);
-                counters.recovery_cycles += R.write_latency;
-                counters.recovery_energy_pj += R.write_energy;
+                counters.recovery_cycles += C.write_latency;
+                counters.recovery_energy_pj += C.write_energy;
                 ++counters.corrections;
               }
               repair = WordRepair::Corrected;
             } else {
-              // Every 2-bit pattern raises the detected flag (ditto).
-              repair = handle_due();
-            }
-          } else {  // SecDed, >= 3 surviving bits: real syndrome
-            const PatternDecode p =
-                SecDedCodec::classify_pattern(data_mask, check_mask);
-            switch (p.status) {
-              case DecodeStatus::Clean:
-                // Aliased to a valid codeword of the wrong data: the
-                // residual is the data mask itself, and its check image
-                // folds into the cached truth_check (linearity).
-                ++counters.sdc_reads;
-                image.truth[w] ^= data_mask;
-                image.truth_check[w] = static_cast<std::uint8_t>(
-                    image.truth_check[w] ^
-                    SecDedCodec::compute_check(data_mask));
-                repair = WordRepair::Silent;
-                break;
-              case DecodeStatus::Corrected: {
-                const std::uint64_t residual = p.residual_mask;
-                if (residual == 0) {
-                  // Right correction: the decoder rewrote the clean
-                  // encoding truth/truth_check already hold.
-                  if (policy_.recover) {
-                    restore_clean(R.protection, image, w);
-                    counters.recovery_cycles += R.write_latency;
-                    counters.recovery_energy_pj += R.write_energy;
-                    ++counters.corrections;
-                  }
-                  repair = WordRepair::Corrected;
-                } else {
-                  // Miscorrection, then consumed: decoded becomes both
-                  // the stored word (when repairing) and the new truth,
-                  // so one linear re-encode serves both.
-                  const std::uint64_t decoded = image.truth[w] ^ residual;
-                  const std::uint8_t decoded_check =
-                      static_cast<std::uint8_t>(
-                          image.truth_check[w] ^
-                          SecDedCodec::compute_check(residual));
-                  if (policy_.recover) {
-                    image.data[w] = decoded;
-                    image.check[w] = decoded_check;
-                    counters.recovery_cycles += R.write_latency;
-                    counters.recovery_energy_pj += R.write_energy;
-                  }
-                  ++counters.sdc_reads;
-                  image.truth[w] = decoded;
-                  image.truth_check[w] = decoded_check;
-                  repair = WordRepair::Silent;
-                }
-                break;
+              // Miscorrection, then consumed: decoded becomes both the
+              // stored word (when repairing) and the new truth, so one
+              // linear re-encode serves both.
+              const std::uint64_t decoded = image.truth[w] ^ residual;
+              const std::uint8_t decoded_check = static_cast<std::uint8_t>(
+                  image.truth_check[w] ^ SecDedCodec::compute_check(residual));
+              if (policy_.recover) {
+                image.data[w] = decoded;
+                image.check[w] = decoded_check;
+                counters.recovery_cycles += C.write_latency;
+                counters.recovery_energy_pj += C.write_energy;
               }
-              case DecodeStatus::Detected:
-                repair = handle_due();
-                break;
+              ++counters.sdc_reads;
+              image.truth[w] = decoded;
+              image.truth_check[w] = decoded_check;
+              repair = WordRepair::Silent;
             }
+            break;
           }
-          outcome = std::max(outcome, outcome_of(repair));
+          case DecodeStatus::Detected:
+            repair = handle_due();
+            break;
         }
       }
+      outcome = std::max(outcome, outcome_of(repair));
+    };
+
+    if (R.protection == ProtectionKind::Immune) {
+      // No image, no draw: the reference early-outs too.
+    } else if (R.interleave == 1) {
+      detail::for_each_run(
+          R, origin, std::min<std::uint64_t>(flips, R.physical_bits - origin),
+          [&](std::uint64_t w, std::uint32_t lo, std::uint32_t hi) {
+            strike_word(w, detail::group_masks(lo, hi));
+          });
+    } else {
+      detail::for_each_interleaved_word(R, core.scratch, origin, flips,
+                                        strike_word);
     }
 
     ++tallies[static_cast<std::size_t>(outcome)];
@@ -543,16 +436,11 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
 
     if (interval != 0 && --until_scrub == 0) {
       until_scrub = interval;
-      scrub_sweep_batched(side, rng, tables);
+      scrub_sweep(side, rng, region_table);
     }
   }
-  core.partial.strikes += end - core.done;
-  core.partial.masked += tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
-  core.partial.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
-  core.partial.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
-  core.partial.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
-  core.rng = rng;
-  core.done = end;
+  detail::finish_chunk(core, end, rng, tallies[0], tallies[1], tallies[2],
+                       tallies[3]);
 }
 
 }  // namespace ftspm

@@ -6,6 +6,7 @@
 
 #include "ftspm/mem/technology.h"
 #include "ftspm/obs/metrics.h"
+#include "ftspm/util/args.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -160,19 +161,11 @@ SensitivityGrid SensitivityGrid::from_csv(std::string_view text) {
     return fields;
   };
   const auto number = [](const std::string& field, const char* what) {
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long v = std::stoull(field, &consumed);
-      FTSPM_REQUIRE(consumed == field.size(),
-                    std::string("bad ") + what + " '" + field +
-                        "' in sensitivity grid CSV");
-      return static_cast<std::uint64_t>(v);
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
+    const std::optional<std::uint64_t> v = parse_uint(field);
+    if (!v)
       throw Error(std::string("bad ") + what + " '" + field +
                   "' in sensitivity grid CSV");
-    }
+    return *v;
   };
 
   std::vector<RegionSpec> regions;
@@ -207,6 +200,10 @@ SensitivityGrid SensitivityGrid::from_csv(std::string_view text) {
     std::uint64_t sum = 0;
     for (std::size_t o = 0; o < kOutcomes; ++o) {
       cell.outcomes[o] = number(f[7 + o], "outcome count");
+      // Checked before adding, so the sum can never wrap past strikes.
+      FTSPM_REQUIRE(cell.outcomes[o] <= strikes - sum,
+                    "sensitivity grid CSV row " + std::to_string(i) +
+                        ": outcome counts exceed strikes");
       sum += cell.outcomes[o];
     }
     FTSPM_REQUIRE(sum == strikes,

@@ -2,8 +2,8 @@
 //
 // EventLog accumulates schema-versioned NDJSON records — one JSON
 // object per line — describing the lifecycle of a run: the manifest,
-// phase and shard boundaries, checkpoint writes, recovery scrub
-// passes, and the final campaign summary. Every record carries a
+// phase and shard boundaries, checkpoint writes, and the final
+// campaign summary. Every record carries a
 // caller-supplied *simulated* timestamp (strike index, simulated
 // cycle), never wall time, and a monotonically increasing sequence
 // number, so the log for a fixed seed is byte-identical regardless of

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "ftspm/util/args.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
 #include "ftspm/util/version.h"
@@ -171,45 +172,23 @@ std::string append_run(LedgerRecord record, const std::string& path) {
   return record.id;
 }
 
-namespace {
-
-/// Strict 0-based run-index parse: digits only, overflow-guarded.
-/// std::stoull would accept "+1", " 1", hex, and throw
-/// std::out_of_range on a long digit string — an uncaught crash from
-/// a CLI typo instead of exit 2.
-bool parse_run_index(std::string_view digits, std::size_t& out) {
-  if (digits.empty()) return false;
-  std::size_t v = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<std::size_t>(c - '0');
-    if (v > (SIZE_MAX - digit) / 10) return false;  // would overflow
-    v = v * 10 + digit;
-  }
-  out = v;
-  return true;
-}
-
-}  // namespace
-
 const LedgerRecord* find_run(const std::vector<LedgerRecord>& runs,
                              std::string_view ref) {
   for (auto it = runs.rbegin(); it != runs.rend(); ++it)
     if (it->id == ref) return &*it;
-  std::size_t index = 0;
   if (!ref.empty() && ref.front() == '@') {
     // Explicit index form: the ref can never be an id, so a malformed
     // tail is a usage error worth reporting, not a silent miss.
-    if (!parse_run_index(ref.substr(1), index))
+    const std::optional<std::uint64_t> index = parse_uint(ref.substr(1));
+    if (!index)
       throw InvalidArgument("run ref '" + std::string(ref) +
                             "' is malformed: expected @<0-based index>");
-    return index < runs.size() ? &runs[index] : nullptr;
+    return *index < runs.size() ? &runs[*index] : nullptr;
   }
   // Bare digits double as an index when no id matched; a value too
-  // large for size_t cannot name a run, so it is simply absent.
-  if (parse_run_index(ref, index) && index < runs.size())
-    return &runs[index];
-  return nullptr;
+  // large to parse cannot name a run, so it is simply absent.
+  const std::optional<std::uint64_t> index = parse_uint(ref);
+  return index && *index < runs.size() ? &runs[*index] : nullptr;
 }
 
 }  // namespace ftspm::obs

@@ -72,6 +72,8 @@ struct LoadReport {
   std::uint64_t sent = 0;
   std::uint64_t completed = 0;
   std::uint64_t overloaded = 0;
+  /// Transport and daemon errors: the per-class errors plus one per
+  /// connection that never opened (no daemon listening).
   std::uint64_t errors = 0;
 
   /// Fraction of sent requests the daemon shed with error(overloaded);

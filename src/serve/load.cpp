@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "ftspm/serve/client.h"
+#include "ftspm/util/args.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 
@@ -72,19 +73,11 @@ std::vector<RequestClass> parse_mix(const std::string& text) {
       }
       if (c2 != std::string::npos) {
         const std::string strikes_text = entry.substr(c2 + 1);
-        try {
-          std::size_t consumed = 0;
-          const unsigned long long v = std::stoull(strikes_text, &consumed);
-          FTSPM_REQUIRE(consumed == strikes_text.size() && v >= 1,
-                        "mix strikes '" + strikes_text +
-                            "' must be a positive integer");
-          cls.spec.strikes = v;
-        } catch (const InvalidArgument&) {
-          throw;
-        } catch (const std::exception&) {
-          throw InvalidArgument("mix strikes '" + strikes_text +
-                                "' must be a positive integer");
-        }
+        const std::optional<std::uint64_t> v = parse_uint(strikes_text);
+        FTSPM_REQUIRE(v.has_value() && *v >= 1,
+                      "mix strikes '" + strikes_text +
+                          "' must be a positive integer");
+        cls.spec.strikes = *v;
       }
     }
     classes.push_back(std::move(cls));
@@ -289,6 +282,10 @@ LoadReport run_load(const LoadConfig& cfg) {
     report.overloaded += merged.overloaded;
     report.errors += merged.errors;
   }
+  // A connection that never opened (no daemon listening, wrong socket)
+  // is a transport error like one that died mid-run; it belongs to no
+  // class, so it only shows in the aggregate.
+  for (const Worker& w : workers) report.errors += w.failed_connect;
 
   if (obs::enabled()) {
     // Post-join, single-threaded fold into the process registry so a

@@ -195,8 +195,12 @@ struct Server::Impl {
                std::chrono::steady_clock::now() - started_at)
         .count();
   }
-  /// One serve.requests{outcome=...} tick. Callers may hold queue_mutex.
-  void record_outcome(std::string_view outcome) {
+  /// Counts one request outcome in both places it is reported: the
+  /// status-frame tally and serve.requests{outcome=...}, so the two can
+  /// never drift. Callers may hold queue_mutex.
+  void record_outcome(std::atomic<std::uint64_t>& tally,
+                      std::string_view outcome) {
+    tally.fetch_add(1, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(telemetry_mutex);
     telemetry.counter("serve.requests", obs::LabelSet{{"outcome",
                                                        std::string(outcome)}})
@@ -425,8 +429,7 @@ void Server::Impl::accept_loop() {
   }
   queue_cv.notify_all();
   for (const PendingRequest& req : orphaned) {
-    cancelled.fetch_add(1, std::memory_order_relaxed);
-    record_outcome("cancelled");
+    record_outcome(cancelled, "cancelled");
     if (trace != nullptr) {
       trace->end(req.lane);  // "queued"
       trace->instant(req.lane, "shutdown");
@@ -525,8 +528,7 @@ void Server::Impl::admit_campaign(const ConnectionPtr& conn, Request req) {
       return;
     }
     if (queue.size() >= cfg.max_queue) {
-      rejected_overload.fetch_add(1, std::memory_order_relaxed);
-      record_outcome("rejected_overload");
+      record_outcome(rejected_overload, "rejected_overload");
       if (trace != nullptr)
         trace->instant(admission_lane, "shed",
                        {obs::TraceArg::str("id", req.id),
@@ -590,8 +592,7 @@ void Server::Impl::handle_cancel(const ConnectionPtr& conn,
                                       "'"));
     return;
   }
-  cancelled.fetch_add(1, std::memory_order_relaxed);
-  record_outcome("cancelled");
+  record_outcome(cancelled, "cancelled");
   if (trace != nullptr) {
     trace->end(lane);  // "queued"
     trace->instant(lane, "cancelled");
@@ -639,8 +640,7 @@ void Server::Impl::run_one(PendingRequest req) {
   if (req.cancel->load(std::memory_order_relaxed) ||
       !req.conn->open.load(std::memory_order_acquire)) {
     // Cancelled (or orphaned by a hangup) before it ever ran.
-    cancelled.fetch_add(1, std::memory_order_relaxed);
-    record_outcome("cancelled");
+    record_outcome(cancelled, "cancelled");
     if (trace != nullptr) trace->instant(req.lane, "cancelled");
     write_frame(req.conn, error_frame(req.id, ErrorCode::Cancelled,
                                       "cancelled before execution"));
@@ -681,8 +681,7 @@ void Server::Impl::run_one(PendingRequest req) {
   try {
     outcome = run_campaign_spec(req.spec, hooks);
   } catch (const std::exception& e) {
-    failed.fetch_add(1, std::memory_order_relaxed);
-    record_outcome("failed");
+    record_outcome(failed, "failed");
     if (trace != nullptr) {
       trace->end(req.lane);  // "running"
       trace->instant(req.lane, "failed");
@@ -693,8 +692,7 @@ void Server::Impl::run_one(PendingRequest req) {
   if (trace != nullptr) trace->end(req.lane);  // "running"
   record_service(kind, outcome.wall_ms);
   if (!outcome.complete) {
-    cancelled.fetch_add(1, std::memory_order_relaxed);
-    record_outcome("cancelled");
+    record_outcome(cancelled, "cancelled");
     if (trace != nullptr) trace->instant(req.lane, "cancelled");
     write_frame(req.conn, error_frame(req.id, ErrorCode::Cancelled,
                                       "cancelled mid-run"));
@@ -708,8 +706,7 @@ void Server::Impl::run_one(PendingRequest req) {
     const std::lock_guard<std::mutex> lock(ledger_mutex);
     run_id = obs::append_run(record, cfg.ledger_path);
   }
-  completed.fetch_add(1, std::memory_order_relaxed);
-  record_outcome("completed");
+  record_outcome(completed, "completed");
   write_frame(req.conn, result_frame(req.id, record, run_id,
                                      /*complete=*/true));
   if (trace != nullptr) trace->end(req.lane);  // "flushing result"

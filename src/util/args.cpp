@@ -8,6 +8,18 @@
 
 namespace ftspm {
 
+std::optional<std::uint64_t> parse_uint(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return std::nullopt;  // overflow
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
 ArgParser::ArgParser(std::string program, std::string summary)
     : program_(std::move(program)), summary_(std::move(summary)) {}
 
@@ -92,28 +104,13 @@ std::int64_t ArgParser::option_int(const std::string& name) const {
 std::uint64_t ArgParser::option_uint(const std::string& name,
                                      std::uint64_t max) const {
   const std::string& raw = option(name);
-  // Digits only: strtoull would accept leading whitespace, a sign
-  // (silently wrapping "-1" to 2^64-1), and clamp on overflow — all of
-  // which have bitten real flag typos. Parse by hand instead.
-  bool ok = !raw.empty();
-  std::uint64_t v = 0;
-  for (const char c : raw) {
-    if (c < '0' || c > '9') {
-      ok = false;
-      break;
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) {
-      ok = false;  // would overflow
-      break;
-    }
-    v = v * 10 + digit;
-  }
-  FTSPM_REQUIRE(ok, "--" + name + " expects a non-negative integer, got '" +
-                        raw + "'");
-  FTSPM_REQUIRE(v <= max, "--" + name + " must be at most " +
-                              std::to_string(max) + ", got '" + raw + "'");
-  return v;
+  const std::optional<std::uint64_t> v = parse_uint(raw);
+  FTSPM_REQUIRE(v.has_value(), "--" + name +
+                                   " expects a non-negative integer, got '" +
+                                   raw + "'");
+  FTSPM_REQUIRE(*v <= max, "--" + name + " must be at most " +
+                               std::to_string(max) + ", got '" + raw + "'");
+  return *v;
 }
 
 namespace {

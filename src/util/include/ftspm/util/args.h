@@ -6,10 +6,20 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ftspm {
+
+/// Strict unsigned decimal: digits only, overflow-guarded. Returns
+/// nullopt for an empty string, a sign, whitespace, any other
+/// character, or a value above UINT64_MAX — all of which strtoull and
+/// std::stoul would accept (wrapping "-1" to 2^64-1) or clamp. The one
+/// parser behind every unsigned count the CLI flags, the ledger run
+/// refs, the load mix and the grid CSV reader take.
+std::optional<std::uint64_t> parse_uint(std::string_view text);
 
 class ArgParser {
  public:

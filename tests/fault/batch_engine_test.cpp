@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
+#include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/fault/sensitivity.h"
@@ -386,6 +389,71 @@ TEST(BatchEngineRecovery, MatchesReferenceOnMixedProtections) {
     expect_recovery_equal(drive_recovery(campaign, cfg, true, {cfg.strikes}),
                           drive_recovery(campaign, cfg, false, {cfg.strikes}),
                           "mixed seed=" + std::to_string(seed));
+  }
+}
+
+TEST(BatchEngineRecovery, MatchesReferenceWithSpillSizedStrikes) {
+  // max_flips beyond CampaignScratch::kInlineHits on an interleaved
+  // SEC-DED region, every strike in the >3-bit tail: multi-bit words
+  // from the gatherer, deposited and resolved in one step. The tail is
+  // geometric (p = 1/2 per extra flip), so no strike actually passes
+  // kInlineHits; InterleavedGatherSpillsPastInlineHits drives the
+  // spill buffer itself.
+  const StrikeMultiplicityModel model(0.0, 0.0, 0.0, 1.0);
+  RecoveryPolicy policy;
+  policy.recover = true;
+  policy.scrub_interval = 64;
+  const LiveArrayCampaign campaign(
+      {make_recovery_region(RegionGeometry(2048, 8), ProtectionKind::SecDed,
+                            0.75, 3, 0.25, true),
+       make_recovery_region(RegionGeometry(2048, 8), ProtectionKind::SecDed,
+                            0.75, 1, 0.25, true)},
+      model, policy);
+  CampaignConfig cfg = config_for(0xfeedf00d, 20'000);
+  cfg.max_flips = CampaignScratch::kInlineHits + 32;
+  expect_recovery_equal(drive_recovery(campaign, cfg, true, {cfg.strikes}),
+                        drive_recovery(campaign, cfg, false, {cfg.strikes}),
+                        "spill");
+}
+
+TEST(BatchEngine, InterleavedGatherSpillsPastInlineHits) {
+  // One strike wider than the inline hit array, ending past the last
+  // word (a partial final group): every surviving hit must land where
+  // locate_strike_bit puts it, grouped into ascending, unique words.
+  const InjectionRegion region{RegionGeometry(1000, 8),
+                               ProtectionKind::SecDed, 1.0, 3};
+  const BatchRegionInfo R = detail::make_region_info(region);
+  const std::uint32_t flips = CampaignScratch::kInlineHits + 32;
+  for (const std::uint64_t origin :
+       {std::uint64_t{0}, std::uint64_t{17}, R.physical_bits - 50}) {
+    std::map<std::uint64_t, detail::GroupMasks> want;
+    for (std::uint64_t k = 0; k < flips && origin + k < R.physical_bits;
+         ++k) {
+      const PhysicalBit pb = locate_strike_bit(region, origin + k);
+      if (pb.word_index >= R.words) continue;
+      detail::GroupMasks& gm = want[pb.word_index];
+      if (pb.bit_in_codeword < RegionGeometry::kDataBitsPerWord)
+        gm.data |= std::uint64_t{1} << pb.bit_in_codeword;
+      else
+        gm.check |= 1u << (pb.bit_in_codeword -
+                           RegionGeometry::kDataBitsPerWord);
+    }
+    CampaignScratch scratch;
+    std::vector<std::pair<std::uint64_t, detail::GroupMasks>> got;
+    detail::for_each_interleaved_word(
+        R, scratch, origin, flips,
+        [&](std::uint64_t word, detail::GroupMasks gm) {
+          got.emplace_back(word, gm);
+        });
+    EXPECT_EQ(scratch.spill.size(), flips) << origin;
+    ASSERT_EQ(got.size(), want.size()) << origin;
+    auto it = want.begin();
+    for (const auto& [word, gm] : got) {
+      EXPECT_EQ(word, it->first) << origin;
+      EXPECT_EQ(gm.data, it->second.data) << origin << " word " << word;
+      EXPECT_EQ(gm.check, it->second.check) << origin << " word " << word;
+      ++it;
+    }
   }
 }
 

@@ -157,6 +157,14 @@ TEST(SensitivityGridTest, FromCsvRejectsMalformedDocuments) {
   EXPECT_THROW(
       SensitivityGrid::from_csv(header + "0,r0,none,0,0,63,x,0,0,0,0\n"),
       Error);
+  // Signed, padded or wrapping counts: "-1" strikes with "-15" masked
+  // used to pass the sum check by wraparound.
+  for (const char* row : {"0,r0,none,0,0,63,-1,-15,14,0,0\n",
+                          "0,r0,none,0,0,63,+5,5,0,0,0\n",
+                          "0,r0,none,0,0,63, 5,5,0,0,0\n",
+                          "0,r0,none,0,0,63,1,18446744073709551615,2,0,0\n",
+                          "0,r0,none,0,0,63,1,18446744073709551616,0,0,0\n"})
+    EXPECT_THROW(SensitivityGrid::from_csv(header + row), Error) << row;
   // Region appearing mid-document (not region-major).
   EXPECT_THROW(SensitivityGrid::from_csv(header +
                                          "0,r0,none,0,0,31,0,0,0,0,0\n"

@@ -428,5 +428,18 @@ TEST(ServeTest, OpenLoopLoadResolvesEveryRequest) {
   server.wait();
 }
 
+TEST(LoadMixTest, StrikesMustBePlainPositiveDigits) {
+  const std::vector<RequestClass> mix = parse_mix("a:2:500,b:1");
+  ASSERT_EQ(mix.size(), 2u);
+  EXPECT_EQ(mix[0].spec.strikes, 500u);
+  EXPECT_EQ(mix[0].weight, 2.0);
+  EXPECT_EQ(mix[1].name, "b");
+  // std::stoull took "-5" as 2^64 - 5 and skipped a sign or leading
+  // blank; each is malformed.
+  for (const char* bad : {"a:1:-5", "a:1:+5", "a:1: 5", "a:1:0", "a:1:",
+                          "a:1:99999999999999999999"})
+    EXPECT_THROW(parse_mix(bad), InvalidArgument) << bad;
+}
+
 }  // namespace
 }  // namespace ftspm::serve

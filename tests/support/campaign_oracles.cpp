@@ -263,13 +263,16 @@ void CampaignOracles::recovery_chunk(const LiveArrayCampaign& campaign,
     return StrikeOutcome::Masked;
   };
 
-  std::vector<std::uint64_t>& touched = side.touched;
+  std::vector<double> weights;
+  for (const RecoveryRegion& r : campaign.regions())
+    weights.push_back(static_cast<double>(r.inject.geometry.physical_bits()));
+  std::vector<std::uint64_t> touched;
   const std::uint64_t end = std::min(config.strikes, core.done + max_strikes);
   for (std::uint64_t s = core.done; s < end; ++s) {
     // Aim draws in the static campaign's order (region, origin,
     // multiplicity); recovery draws only ever happen after them,
     // within the strike.
-    const std::size_t ri = core.rng.next_discrete(campaign.weights_);
+    const std::size_t ri = core.rng.next_discrete(weights);
     const RecoveryRegion& region = campaign.regions_[ri];
     const std::uint64_t surface = region.inject.geometry.physical_bits();
     const std::uint64_t origin = core.rng.next_below(surface);
@@ -323,10 +326,13 @@ void CampaignOracles::temporal_chunk(const TemporalCampaign& campaign,
                                      CampaignShardState& state,
                                      std::uint64_t max_strikes,
                                      SensitivityGrid* grid) {
+  std::vector<double> weights;
+  for (const InjectionRegion& surface : campaign.surfaces())
+    weights.push_back(static_cast<double>(surface.geometry.physical_bits()));
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
   for (std::uint64_t s = state.done; s < end; ++s) {
-    const std::size_t rid = state.rng.next_discrete(campaign.weights_);
+    const std::size_t rid = state.rng.next_discrete(weights);
     const InjectionRegion& surface = campaign.surfaces_[rid];
     const std::uint64_t origin =
         state.rng.next_below(surface.geometry.physical_bits());

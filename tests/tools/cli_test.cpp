@@ -226,7 +226,7 @@ TEST(CliTest, PartitionBadWeightFailsWithUsageExit) {
 TEST(CliTest, HeartbeatIntervalRejectsGarbageAndZero) {
   // Same contract as --jobs: trailing garbage, signs, and out-of-range
   // values are usage errors (exit 2), never silently truncated.
-  for (const char* bad : {"100x", "0", "-5", "1e3", ""}) {
+  for (const char* bad : {"100x", "0", "-5", "1e3", "", "+5", " 5"}) {
     const CommandResult r =
         run_tool(std::string("--heartbeat-interval-ms ") + "'" + bad +
                  "' campaign --strikes 1000");
@@ -289,6 +289,15 @@ TEST(CliTest, LoadFlagsRejectGarbageAndOutOfRange) {
               std::string::npos)
         << args << "\n" << r.output;
   }
+}
+
+TEST(CliTest, LoadExitsOneWhenNoDaemonListens) {
+  // A connection that never opens is a transport error: the run must
+  // not report success with nothing sent.
+  const CommandResult r = run_tool(
+      "load --socket /tmp/ftspm-cli-no-daemon.sock --quick --requests 3");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("errors 2"), std::string::npos) << r.output;
 }
 
 TEST(CliTest, TelemetryFlagsRejectGarbageAndOutOfRange) {

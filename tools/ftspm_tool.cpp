@@ -237,26 +237,19 @@ std::vector<std::string> extract_global_options(int argc,
     if (take_value(arg, "--heartbeat-out", &g.heartbeat_out, i)) continue;
     if (take_value(arg, "--ledger", &g.ledger, i)) continue;
     if (take_value(arg, "--run-id", &g.run_id, i)) continue;
-    // stoul stops at the first non-digit, so "8x" would silently parse
-    // as 8; demand that the whole token was consumed.
+    // Digits only: a sign, whitespace or trailing garbage is a usage
+    // error, never a silent truncation or wraparound.
     auto parse_count = [](std::string_view name, const std::string& text,
-                          unsigned long max) {
-      try {
-        std::size_t consumed = 0;
-        const unsigned long v = std::stoul(text, &consumed);
-        if (consumed != text.size())
-          throw InvalidArgument(std::string(name) + " value '" + text +
-                                "' has trailing characters");
-        if (v > max)
-          throw InvalidArgument(std::string(name) + " must be at most " +
-                                std::to_string(max));
-        return v;
-      } catch (const InvalidArgument&) {
-        throw;
-      } catch (const std::exception&) {
+                          std::uint64_t max) {
+      const std::optional<std::uint64_t> v = parse_uint(text);
+      if (!v)
         throw InvalidArgument(std::string(name) +
-                              " requires a non-negative integer");
-      }
+                              " requires a non-negative integer, got '" +
+                              text + "'");
+      if (*v > max)
+        throw InvalidArgument(std::string(name) + " must be at most " +
+                              std::to_string(max));
+      return *v;
     };
     std::string jobs_text;
     if (take_value(arg, "--jobs", &jobs_text, i)) {
@@ -266,7 +259,7 @@ std::vector<std::string> extract_global_options(int argc,
     }
     std::string interval_text;
     if (take_value(arg, "--heartbeat-interval-ms", &interval_text, i)) {
-      const unsigned long v =
+      const std::uint64_t v =
           parse_count("--heartbeat-interval-ms", interval_text, 3600000);
       FTSPM_REQUIRE(v > 0, "--heartbeat-interval-ms must be positive");
       g.heartbeat_interval_ms = static_cast<std::uint32_t>(v);
@@ -1372,8 +1365,8 @@ int cmd_load(int argc, const char* const* argv) {
                 << " ms\n";
     }
   }
-  // A load run that saw transport-level errors (daemon died mid-run)
-  // exits nonzero. Shed (overloaded) requests are expected behaviour
+  // A load run that saw transport-level errors (daemon unreachable or
+  // died mid-run) exits nonzero. Shed (overloaded) requests are expected behaviour
   // under pressure and do not fail the run by default; --fail-on-shed
   // turns the shed rate into a gate for CI-style smoke checks.
   if (report.errors > 0) return 1;
