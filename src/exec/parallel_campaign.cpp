@@ -214,6 +214,15 @@ class HeartbeatLine {
   Clock::time_point prev_time_;
 };
 
+/// `head` followed by the outcome counters of `p`, as trace and event
+/// args named by CampaignResult::kOutcomes.
+std::vector<obs::TraceArg> with_outcomes(std::vector<obs::TraceArg> head,
+                                         const CampaignResult& p) {
+  for (const auto& f : CampaignResult::kOutcomes)
+    head.push_back(obs::TraceArg::num(f.name, p.*f.member));
+  return head;
+}
+
 /// Deterministic post-run observability: per-shard trace lanes and
 /// pool-utilization wall timers. Emitted by the coordinator after the
 /// pool joined, in shard order, so enabling observability never
@@ -238,12 +247,8 @@ void emit_observability(const std::vector<CampaignShard>& plan,
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const obs::TraceEventSink::LaneId lane =
         trace->lane("exec", "shard" + std::to_string(i));
-    const CampaignResult& p = states[i].partial;
     trace->complete(lane, "shard", 0, states[i].done,
-                    {obs::TraceArg::num("masked", p.masked),
-                     obs::TraceArg::num("dre", p.dre),
-                     obs::TraceArg::num("due", p.due),
-                     obs::TraceArg::num("sdc", p.sdc)});
+                    with_outcomes({}, states[i].partial));
   }
 }
 
@@ -472,15 +477,13 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   if (events != nullptr) {
     std::uint64_t total_done = 0;
     for (std::uint32_t i = 0; i < shard_count; ++i) {
-      const CampaignResult& p = states[i].partial;
       total_done += states[i].done;
-      events->emit("shard_end", states[i].done,
-                   {obs::TraceArg::num("shard", static_cast<std::uint64_t>(i)),
-                    obs::TraceArg::num("strikes", states[i].done),
-                    obs::TraceArg::num("masked", p.masked),
-                    obs::TraceArg::num("dre", p.dre),
-                    obs::TraceArg::num("due", p.due),
-                    obs::TraceArg::num("sdc", p.sdc)});
+      events->emit(
+          "shard_end", states[i].done,
+          with_outcomes(
+              {obs::TraceArg::num("shard", static_cast<std::uint64_t>(i)),
+               obs::TraceArg::num("strikes", states[i].done)},
+              states[i].partial));
       if (checkpoints.active())
         events->emit("checkpoint", states[i].done,
                      {obs::TraceArg::num("shard",
@@ -489,13 +492,11 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
     }
     const char* complete = run.complete ? "true" : "false";
     events->emit("phase_end", total_done,
-                 {obs::TraceArg::str("kind", kind),
-                  obs::TraceArg{"complete", complete},
-                  obs::TraceArg::num("strikes", run.merged.strikes),
-                  obs::TraceArg::num("masked", run.merged.masked),
-                  obs::TraceArg::num("dre", run.merged.dre),
-                  obs::TraceArg::num("due", run.merged.due),
-                  obs::TraceArg::num("sdc", run.merged.sdc)});
+                 with_outcomes({obs::TraceArg::str("kind", kind),
+                                obs::TraceArg{"complete", complete},
+                                obs::TraceArg::num("strikes",
+                                                   run.merged.strikes)},
+                               run.merged));
   }
   return run;
 }

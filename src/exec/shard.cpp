@@ -78,13 +78,7 @@ std::vector<CampaignShard> make_shard_plan(const CampaignConfig& root,
 
 CampaignResult merge_shard_results(const std::vector<CampaignResult>& parts) {
   CampaignResult merged;
-  for (const CampaignResult& p : parts) {
-    merged.strikes += p.strikes;
-    merged.masked += p.masked;
-    merged.dre += p.dre;
-    merged.due += p.due;
-    merged.sdc += p.sdc;
-  }
+  for (const CampaignResult& p : parts) merged.add(p);
   return merged;
 }
 
@@ -114,10 +108,11 @@ void CampaignCheckpoint::validate_against(const CampaignConfig& root,
     FTSPM_CHECK(shards[i].index == i, "checkpoint shards out of order");
     FTSPM_CHECK(shards[i].done <= shards[i].strikes,
                 "checkpoint shard overran its strike budget");
+    std::uint64_t outcomes = 0;
+    for (const auto& f : CampaignResult::kOutcomes)
+      outcomes += shards[i].partial.*f.member;
     FTSPM_CHECK(shards[i].partial.strikes == shards[i].done &&
-                    shards[i].partial.masked + shards[i].partial.dre +
-                            shards[i].partial.due + shards[i].partial.sdc ==
-                        shards[i].done,
+                    outcomes == shards[i].done,
                 "checkpoint shard counters disagree with its progress");
   }
 }
@@ -157,10 +152,8 @@ std::string checkpoint_to_json(const CampaignCheckpoint& cp) {
     w.field("shard", std::uint64_t{s.index});
     w.field("strikes", s.strikes);
     w.field("done", s.done);
-    w.field("masked", s.partial.masked);
-    w.field("dre", s.partial.dre);
-    w.field("due", s.partial.due);
-    w.field("sdc", s.partial.sdc);
+    for (const auto& f : CampaignResult::kOutcomes)
+      w.field(f.name, s.partial.*f.member);
     w.begin_array("rng");
     for (std::uint64_t word : s.rng_state) w.element(hex_u64(word));
     w.end_array();
@@ -190,10 +183,8 @@ CampaignCheckpoint checkpoint_from_json(std::string_view text) {
     shard.index = static_cast<std::uint32_t>(get_u64(s, "shard"));
     shard.strikes = get_u64(s, "strikes");
     shard.done = get_u64(s, "done");
-    shard.partial.masked = get_u64(s, "masked");
-    shard.partial.dre = get_u64(s, "dre");
-    shard.partial.due = get_u64(s, "due");
-    shard.partial.sdc = get_u64(s, "sdc");
+    for (const auto& f : CampaignResult::kOutcomes)
+      shard.partial.*f.member = get_u64(s, f.name);
     shard.partial.strikes = shard.done;
     const JsonValue& rng = s.at("rng");
     FTSPM_CHECK(rng.is_array() && rng.array.size() == 4,

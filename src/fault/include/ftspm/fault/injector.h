@@ -68,12 +68,35 @@ struct CampaignConfig {
   std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
 
+/// One named integer counter of a result struct: the key every artefact
+/// writes it under and the member it reads.
+template <typename T>
+struct CounterField {
+  const char* name;
+  std::uint64_t T::*member;
+};
+
 struct CampaignResult {
   std::uint64_t strikes = 0;
   std::uint64_t masked = 0;
   std::uint64_t dre = 0;
   std::uint64_t due = 0;
   std::uint64_t sdc = 0;
+
+  /// The outcome schema, indexed by StrikeOutcome: the names and order
+  /// in which campaign JSON/CSV, ledger records, checkpoints, trace and
+  /// event args and the reports write the four outcome counters.
+  static constexpr std::array<CounterField<CampaignResult>, 4> kOutcomes{{
+      {"masked", &CampaignResult::masked},
+      {"dre", &CampaignResult::dre},
+      {"due", &CampaignResult::due},
+      {"sdc", &CampaignResult::sdc},
+  }};
+
+  void add(const CampaignResult& other) noexcept {
+    strikes += other.strikes;
+    for (const auto& f : kOutcomes) this->*f.member += other.*f.member;
+  }
 
   double fraction(std::uint64_t n) const noexcept {
     return strikes ? static_cast<double>(n) / static_cast<double>(strikes)

@@ -40,6 +40,7 @@
 // the static injector verbatim, reproducing its counters bit for bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -102,6 +103,20 @@ struct RecoveryCounters {
   std::uint64_t recovery_cycles = 0;
   double recovery_energy_pj = 0.0;
 
+  /// The integer counters in artefact order (campaign JSON/CSV, ledger
+  /// records); recovery_energy_pj follows them wherever it is written.
+  static constexpr std::array<CounterField<RecoveryCounters>, 9> kFields{{
+      {"demand_reads", &RecoveryCounters::demand_reads},
+      {"corrections", &RecoveryCounters::corrections},
+      {"scrub_passes", &RecoveryCounters::scrub_passes},
+      {"scrub_words", &RecoveryCounters::scrub_words},
+      {"scrub_corrections", &RecoveryCounters::scrub_corrections},
+      {"refetches", &RecoveryCounters::refetches},
+      {"unrecoverable", &RecoveryCounters::unrecoverable},
+      {"sdc_reads", &RecoveryCounters::sdc_reads},
+      {"recovery_cycles", &RecoveryCounters::recovery_cycles},
+  }};
+
   std::uint64_t repairs() const noexcept {
     return corrections + scrub_corrections + refetches;
   }
@@ -112,7 +127,10 @@ struct RecoveryCounters {
                      static_cast<double>(repairs())
                : 0.0;
   }
-  void add(const RecoveryCounters& other) noexcept;
+  void add(const RecoveryCounters& other) noexcept {
+    for (const auto& f : kFields) this->*f.member += other.*f.member;
+    recovery_energy_pj += other.recovery_energy_pj;
+  }
 };
 
 /// A full recovery campaign's output: the strike classification

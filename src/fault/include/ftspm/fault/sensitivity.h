@@ -32,7 +32,7 @@ namespace ftspm {
 class SensitivityGrid {
  public:
   /// One count per StrikeOutcome (Masked, Dre, Due, Sdc).
-  static constexpr std::size_t kOutcomes = 4;
+  static constexpr std::size_t kOutcomes = CampaignResult::kOutcomes.size();
 
   /// What the grid knows about one region: a short display label, the
   /// ECC scheme name (for metric labels and report tables), and the
@@ -94,8 +94,8 @@ class SensitivityGrid {
   void merge_from(const SensitivityGrid& other);
 
   /// Deterministic CSV, one row per (region, bucket):
-  /// region,label,protection,bucket,first_bit,last_bit,strikes,masked,
-  /// dre,due,sdc.
+  /// region,label,protection,bucket,first_bit,last_bit,strikes, then
+  /// one column per CampaignResult::kOutcomes entry.
   std::string to_csv() const;
 
   /// Parses a to_csv() document back into a grid (used by the report

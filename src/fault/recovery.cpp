@@ -43,19 +43,6 @@ void LiveArrayCampaign::write_back_word(ProtectionKind protection,
   }
 }
 
-void RecoveryCounters::add(const RecoveryCounters& other) noexcept {
-  demand_reads += other.demand_reads;
-  corrections += other.corrections;
-  scrub_passes += other.scrub_passes;
-  scrub_words += other.scrub_words;
-  scrub_corrections += other.scrub_corrections;
-  refetches += other.refetches;
-  unrecoverable += other.unrecoverable;
-  sdc_reads += other.sdc_reads;
-  recovery_cycles += other.recovery_cycles;
-  recovery_energy_pj += other.recovery_energy_pj;
-}
-
 LiveArrayCampaign::LiveArrayCampaign(std::vector<RecoveryRegion> regions,
                                      const StrikeMultiplicityModel& strikes,
                                      const RecoveryPolicy& policy)

@@ -13,9 +13,16 @@ namespace ftspm {
 
 namespace {
 
-constexpr std::string_view kCsvHeader =
-    "region,label,protection,bucket,first_bit,last_bit,strikes,masked,dre,"
-    "due,sdc";
+/// The CSV header: the cell columns, then the outcome schema.
+std::string csv_header() {
+  std::string header =
+      "region,label,protection,bucket,first_bit,last_bit,strikes";
+  for (const auto& f : CampaignResult::kOutcomes) {
+    header += ',';
+    header += f.name;
+  }
+  return header;
+}
 
 /// First physical bit mapped to `bucket` (the inverse of bucket_of's
 /// floor(bit * buckets / bits)). A bucket narrower than one bit comes
@@ -56,26 +63,19 @@ std::uint64_t SensitivityGrid::bucket_strikes(std::size_t region,
 CampaignResult SensitivityGrid::region_totals(std::size_t region)
     const noexcept {
   CampaignResult r;
-  for (std::size_t b = 0; b < buckets_; ++b) {
-    r.masked += count(region, b, StrikeOutcome::Masked);
-    r.dre += count(region, b, StrikeOutcome::Dre);
-    r.due += count(region, b, StrikeOutcome::Due);
-    r.sdc += count(region, b, StrikeOutcome::Sdc);
-  }
-  r.strikes = r.masked + r.dre + r.due + r.sdc;
+  for (std::size_t b = 0; b < buckets_; ++b)
+    for (std::size_t o = 0; o < kOutcomes; ++o) {
+      const std::uint64_t n = count(region, b, static_cast<StrikeOutcome>(o));
+      r.*CampaignResult::kOutcomes[o].member += n;
+      r.strikes += n;
+    }
   return r;
 }
 
 CampaignResult SensitivityGrid::totals() const noexcept {
   CampaignResult r;
-  for (std::size_t region = 0; region < regions_.size(); ++region) {
-    const CampaignResult part = region_totals(region);
-    r.strikes += part.strikes;
-    r.masked += part.masked;
-    r.dre += part.dre;
-    r.due += part.due;
-    r.sdc += part.sdc;
-  }
+  for (std::size_t region = 0; region < regions_.size(); ++region)
+    r.add(region_totals(region));
   return r;
 }
 
@@ -97,7 +97,7 @@ void SensitivityGrid::merge_from(const SensitivityGrid& other) {
 
 std::string SensitivityGrid::to_csv() const {
   FTSPM_REQUIRE(active(), "cannot serialize an inactive sensitivity grid");
-  std::string out(kCsvHeader);
+  std::string out = csv_header();
   out += '\n';
   for (std::size_t region = 0; region < regions_.size(); ++region) {
     const RegionSpec& spec = regions_[region];
@@ -121,11 +121,9 @@ std::string SensitivityGrid::to_csv() const {
       out += std::to_string(next == 0 ? 0 : next - 1);
       out += ',';
       out += std::to_string(bucket_strikes(region, b));
-      for (const StrikeOutcome o :
-           {StrikeOutcome::Masked, StrikeOutcome::Dre, StrikeOutcome::Due,
-            StrikeOutcome::Sdc}) {
+      for (std::size_t o = 0; o < kOutcomes; ++o) {
         out += ',';
-        out += std::to_string(count(region, b, o));
+        out += std::to_string(count(region, b, static_cast<StrikeOutcome>(o)));
       }
       out += '\n';
     }
@@ -144,7 +142,7 @@ SensitivityGrid SensitivityGrid::from_csv(std::string_view text) {
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (!line.empty()) lines.push_back(line);
   }
-  FTSPM_REQUIRE(!lines.empty() && lines[0] == kCsvHeader,
+  FTSPM_REQUIRE(!lines.empty() && lines[0] == csv_header(),
                 "not a sensitivity grid CSV (bad header)");
   FTSPM_REQUIRE(lines.size() >= 2, "sensitivity grid CSV has no rows");
 
@@ -179,9 +177,9 @@ SensitivityGrid SensitivityGrid::from_csv(std::string_view text) {
   cells.reserve(lines.size() - 1);
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const std::vector<std::string> f = split(lines[i]);
-    FTSPM_REQUIRE(f.size() == 11, "sensitivity grid CSV row " +
-                                      std::to_string(i) +
-                                      " has the wrong field count");
+    FTSPM_REQUIRE(f.size() == 7 + kOutcomes,
+                  "sensitivity grid CSV row " + std::to_string(i) +
+                      " has the wrong field count");
     const std::uint64_t region = number(f[0], "region index");
     const std::uint64_t bucket = number(f[3], "bucket index");
     if (region == regions.size()) {
@@ -286,15 +284,11 @@ void emit_sensitivity_metrics(const SensitivityGrid& grid,
   for (std::size_t r = 0; r < grid.region_count(); ++r) {
     const SensitivityGrid::RegionSpec& spec = grid.regions()[r];
     const CampaignResult totals = grid.region_totals(r);
-    const std::pair<const char*, std::uint64_t> outcomes[] = {
-        {"masked", totals.masked},
-        {"dre", totals.dre},
-        {"due", totals.due},
-        {"sdc", totals.sdc}};
-    for (const auto& [outcome, n] : outcomes) {
+    for (const auto& f : CampaignResult::kOutcomes) {
+      const std::uint64_t n = totals.*f.member;
       if (n == 0) continue;
       reg.counter("campaign.outcome", obs::LabelSet{{"ecc", spec.protection},
-                                                    {"outcome", outcome},
+                                                    {"outcome", f.name},
                                                     {"phase", phase},
                                                     {"region", spec.label}})
           .add(n);

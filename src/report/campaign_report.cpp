@@ -21,24 +21,13 @@ obs::LedgerRecord campaign_run_record(const CampaignResult& result,
   record.seed = seed;
   record.jobs = jobs;
   record.shards = shards;
-  record.counters = {{"strikes", result.strikes},
-                     {"masked", result.masked},
-                     {"dre", result.dre},
-                     {"due", result.due},
-                     {"sdc", result.sdc}};
+  record.counters = {{"strikes", result.strikes}};
+  for (const auto& f : CampaignResult::kOutcomes)
+    record.counters.emplace_back(f.name, result.*f.member);
   record.metrics = {{"vulnerability", result.vulnerability()}};
   if (recovery != nullptr) {
-    record.counters.insert(
-        record.counters.end(),
-        {{"demand_reads", recovery->demand_reads},
-         {"corrections", recovery->corrections},
-         {"scrub_passes", recovery->scrub_passes},
-         {"scrub_words", recovery->scrub_words},
-         {"scrub_corrections", recovery->scrub_corrections},
-         {"refetches", recovery->refetches},
-         {"unrecoverable", recovery->unrecoverable},
-         {"sdc_reads", recovery->sdc_reads},
-         {"recovery_cycles", recovery->recovery_cycles}});
+    for (const auto& f : RecoveryCounters::kFields)
+      record.counters.emplace_back(f.name, recovery->*f.member);
     record.metrics.emplace_back("mean_repair_cycles",
                                 recovery->mean_repair_cycles());
     record.metrics.emplace_back("recovery_energy_pj",
@@ -47,17 +36,6 @@ obs::LedgerRecord campaign_run_record(const CampaignResult& result,
   record.wall_ms = wall_ms;
   record.strikes_per_sec = strikes_per_sec;
   return record;
-}
-
-namespace {
-
-/// Shortest stable decimal for report values ("%.6g", the same pinning
-/// csv_export uses): enough digits for any rate in these reports,
-/// byte-identical across runs.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
 }
 
 std::string html_escape(std::string_view s) {
@@ -74,6 +52,8 @@ std::string html_escape(std::string_view s) {
   }
   return out;
 }
+
+namespace {
 
 std::uint64_t counter_or_zero(const obs::LedgerRecord& r,
                               std::string_view name) {
@@ -137,10 +117,6 @@ void append_heatmap_svg(std::string& out, const SensitivityGrid& grid,
          std::to_string(cell_h) + "\">\n";
   for (std::uint32_t b = 0; b < buckets; ++b) {
     const std::uint64_t strikes = grid.bucket_strikes(region, b);
-    const std::uint64_t masked = grid.count(region, b, StrikeOutcome::Masked);
-    const std::uint64_t dre = grid.count(region, b, StrikeOutcome::Dre);
-    const std::uint64_t due = grid.count(region, b, StrikeOutcome::Due);
-    const std::uint64_t sdc = grid.count(region, b, StrikeOutcome::Sdc);
     const std::uint64_t first =
         b * spec.physical_bits / buckets +
         (b * spec.physical_bits % buckets != 0 ? 1 : 0);
@@ -153,12 +129,18 @@ void append_heatmap_svg(std::string& out, const SensitivityGrid& grid,
     out += "  <rect x=\"" + std::to_string(b * cell_w) +
            "\" y=\"0\" width=\"" + std::to_string(cell_w) + "\" height=\"" +
            std::to_string(cell_h) + "\" fill=\"" +
-           cell_color(strikes, due, sdc, max_strikes) + "\"><title>bucket " +
-           std::to_string(b) + " (bits " + std::to_string(first) + "-" +
+           cell_color(strikes, grid.count(region, b, StrikeOutcome::Due),
+                      grid.count(region, b, StrikeOutcome::Sdc), max_strikes) +
+           "\"><title>bucket " + std::to_string(b) + " (bits " +
+           std::to_string(first) + "-" +
            std::to_string(next == 0 ? 0 : next - 1) + "): strikes " +
-           std::to_string(strikes) + ", masked " + std::to_string(masked) +
-           ", dre " + std::to_string(dre) + ", due " + std::to_string(due) +
-           ", sdc " + std::to_string(sdc) + "</title></rect>\n";
+           std::to_string(strikes);
+    for (std::size_t o = 0; o < CampaignResult::kOutcomes.size(); ++o) {
+      const auto outcome = static_cast<StrikeOutcome>(o);
+      out += ", " + std::string(CampaignResult::kOutcomes[o].name) + " " +
+             std::to_string(grid.count(region, b, outcome));
+    }
+    out += "</title></rect>\n";
   }
   out += "</svg>\n";
 }
@@ -174,15 +156,10 @@ void append_outcome_table(std::string& out, const SensitivityGrid& grid,
   };
   out += "<table class=\"region-outcomes\">\n"
          "<tr><th>Outcome</th><th>Count</th><th>Share</th></tr>\n";
-  const std::pair<const char*, std::uint64_t> rows[] = {
-      {"masked", totals.masked},
-      {"dre", totals.dre},
-      {"due", totals.due},
-      {"sdc", totals.sdc},
-  };
-  for (const auto& [name, count] : rows)
-    out += "<tr><td>" + std::string(name) + "</td><td>" + with_commas(count) +
-           "</td><td>" + share(count) + "</td></tr>\n";
+  for (const auto& f : CampaignResult::kOutcomes)
+    out += "<tr><td>" + std::string(f.name) + "</td><td>" +
+           with_commas(totals.*f.member) + "</td><td>" +
+           share(totals.*f.member) + "</td></tr>\n";
   out += "<tr class=\"total\"><td>strikes</td><td>" +
          with_commas(totals.strikes) + "</td><td></td></tr>\n</table>\n";
 }
@@ -195,7 +172,7 @@ void append_histogram_rows(std::string& out, const JsonValue& metrics,
     if (!body.is_object()) return;
     auto field = [&](const char* key) {
       const JsonValue* v = body.find(key);
-      return v != nullptr && v->is_number() ? num(v->number)
+      return v != nullptr && v->is_number() ? stable_decimal(v->number)
                                             : std::string("-");
     };
     if (html) {
@@ -206,7 +183,7 @@ void append_histogram_rows(std::string& out, const JsonValue& metrics,
       for (const char* key : {"count", "p50", "p95", "p99"})
         out += "histogram," + name + "," + key + "," +
                (body.find(key) != nullptr && body.find(key)->is_number()
-                    ? num(body.find(key)->number)
+                    ? stable_decimal(body.find(key)->number)
                     : std::string("")) +
                "\n";
     }
@@ -279,8 +256,8 @@ std::string campaign_report_html(const CampaignReportInput& input) {
     out += "<h2>Derived metrics</h2>\n<table class=\"metrics\">\n"
            "<tr><th>Metric</th><th>Value</th></tr>\n";
     for (const auto& [name, value] : sorted(r.metrics))
-      out += "<tr><td>" + html_escape(name) + "</td><td>" + num(value) +
-             "</td></tr>\n";
+      out += "<tr><td>" + html_escape(name) + "</td><td>" +
+             stable_decimal(value) + "</td></tr>\n";
     out += "</table>\n";
   }
 
@@ -317,9 +294,10 @@ std::string campaign_report_html(const CampaignReportInput& input) {
          "<p class=\"note\">Wall-clock quantities; nondeterministic, "
          "excluded from golden comparisons.</p>\n"
          "<table class=\"timing\">\n";
-  out += "<tr><th>wall_ms</th><td>" + num(r.wall_ms) + "</td></tr>\n";
-  out += "<tr><th>strikes_per_sec</th><td>" + num(r.strikes_per_sec) +
+  out += "<tr><th>wall_ms</th><td>" + stable_decimal(r.wall_ms) +
          "</td></tr>\n";
+  out += "<tr><th>strikes_per_sec</th><td>" +
+         stable_decimal(r.strikes_per_sec) + "</td></tr>\n";
   out += "</table>\n</body>\n</html>\n";
   return out;
 }
@@ -349,7 +327,7 @@ std::string campaign_report_csv(const CampaignReportInput& input) {
   for (const auto& [name, value] : sorted(r.counters))
     row("counter", name, "", std::to_string(value));
   for (const auto& [name, value] : sorted(r.metrics))
-    row("metric", name, "", num(value));
+    row("metric", name, "", stable_decimal(value));
   append_histogram_rows(out, input.metrics, /*html=*/false);
   if (input.grid.active()) {
     for (std::size_t region = 0; region < input.grid.region_count();
@@ -357,15 +335,13 @@ std::string campaign_report_csv(const CampaignReportInput& input) {
       const SensitivityGrid::RegionSpec& spec = input.grid.regions()[region];
       const CampaignResult totals = input.grid.region_totals(region);
       row("region", spec.label, "strikes", std::to_string(totals.strikes));
-      row("region", spec.label, "masked", std::to_string(totals.masked));
-      row("region", spec.label, "dre", std::to_string(totals.dre));
-      row("region", spec.label, "due", std::to_string(totals.due));
-      row("region", spec.label, "sdc", std::to_string(totals.sdc));
+      for (const auto& f : CampaignResult::kOutcomes)
+        row("region", spec.label, f.name, std::to_string(totals.*f.member));
     }
   }
-  row("timing", "wall_ms", "nondeterministic", num(r.wall_ms));
+  row("timing", "wall_ms", "nondeterministic", stable_decimal(r.wall_ms));
   row("timing", "strikes_per_sec", "nondeterministic",
-      num(r.strikes_per_sec));
+      stable_decimal(r.strikes_per_sec));
   return out;
 }
 
@@ -379,14 +355,14 @@ std::vector<TrendPoint> ledger_trend(
     p.index = i;
     p.id = r.id;
     p.workload = r.workload;
-    p.strikes = counter_or_zero(r, "strikes");
-    p.sdc = counter_or_zero(r, "sdc");
-    if (p.strikes != 0) {
-      const double strikes = static_cast<double>(p.strikes);
-      p.sdc_rate = static_cast<double>(p.sdc) / strikes;
-      p.vulnerability =
-          static_cast<double>(counter_or_zero(r, "due") + p.sdc) / strikes;
-    }
+    CampaignResult c;
+    c.strikes = counter_or_zero(r, "strikes");
+    for (const auto& f : CampaignResult::kOutcomes)
+      c.*f.member = counter_or_zero(r, f.name);
+    p.strikes = c.strikes;
+    p.sdc = c.sdc;
+    p.sdc_rate = c.fraction(c.sdc);
+    p.vulnerability = c.vulnerability();
     p.strikes_per_sec = r.strikes_per_sec;
     points.push_back(std::move(p));
   }
@@ -410,8 +386,9 @@ std::string trend_csv(const std::vector<TrendPoint>& points) {
   for (const TrendPoint& p : points)
     out += std::to_string(p.index) + "," + p.id + "," + p.workload + "," +
            std::to_string(p.strikes) + "," + std::to_string(p.sdc) + "," +
-           num(p.sdc_rate) + "," + num(p.vulnerability) + "," +
-           num(p.strikes_per_sec) + "\n";
+           stable_decimal(p.sdc_rate) + "," +
+           stable_decimal(p.vulnerability) + "," +
+           stable_decimal(p.strikes_per_sec) + "\n";
   return out;
 }
 

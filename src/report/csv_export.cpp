@@ -5,18 +5,13 @@
 
 #include "ftspm/core/endurance.h"
 #include "ftspm/util/error.h"
+#include "ftspm/util/format.h"
 #include "ftspm/util/table.h"
 #include "ftspm/workload/case_study.h"
 
 namespace ftspm {
 
 namespace {
-
-std::string num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 std::string table1_csv(const Program& program,
                        const ProgramProfile& profile) {
@@ -26,8 +21,8 @@ std::string table1_csv(const Program& program,
   for (const BlockProfile& bp : profile.blocks) {
     csv.add_row({program.block(bp.id).name, std::to_string(bp.reads),
                  std::to_string(bp.writes),
-                 num(bp.avg_reads_per_reference()),
-                 num(bp.avg_writes_per_reference()),
+                 stable_decimal(bp.avg_reads_per_reference()),
+                 stable_decimal(bp.avg_writes_per_reference()),
                  std::to_string(bp.stack_calls),
                  std::to_string(bp.max_stack_bytes),
                  std::to_string(bp.lifetime_cycles)});
@@ -51,9 +46,9 @@ std::string table3_csv(const SystemResult& stt, const SystemResult& ft) {
   for (double threshold : kEnduranceThresholds) {
     auto seconds = [&](const EnduranceReport& rep) {
       return rep.unlimited() ? std::string("inf")
-                             : num(rep.seconds_to(threshold));
+                             : stable_decimal(rep.seconds_to(threshold));
     };
-    csv.add_row({num(threshold), seconds(stt.endurance),
+    csv.add_row({stable_decimal(threshold), seconds(stt.endurance),
                  seconds(ft.endurance)});
   }
   return csv.render();
@@ -84,8 +79,9 @@ std::string fig_metric_csv(
     double (*metric)(const SystemResult&)) {
   CsvWriter csv({"benchmark", "ftspm", "pure_sram", "pure_stt"});
   for (const SuiteRow& row : rows) {
-    csv.add_row({row.name, num(metric(row.ftspm)), num(metric(row.pure_sram)),
-                 num(metric(row.pure_stt))});
+    csv.add_row({row.name, stable_decimal(metric(row.ftspm)),
+                 stable_decimal(metric(row.pure_sram)),
+                 stable_decimal(metric(row.pure_stt))});
   }
   return csv.render();
 }
@@ -94,29 +90,23 @@ std::string fig_metric_csv(
 
 std::string campaign_csv(const CampaignResult& result,
                          const RecoveryCounters* recovery) {
-  std::vector<std::string> headers{"strikes", "masked", "dre", "due", "sdc",
-                                   "vulnerability"};
-  std::vector<std::string> cells{
-      std::to_string(result.strikes), std::to_string(result.masked),
-      std::to_string(result.dre),     std::to_string(result.due),
-      std::to_string(result.sdc),     num(result.vulnerability())};
+  std::vector<std::string> headers{"strikes"};
+  std::vector<std::string> cells{std::to_string(result.strikes)};
+  for (const auto& f : CampaignResult::kOutcomes) {
+    headers.emplace_back(f.name);
+    cells.push_back(std::to_string(result.*f.member));
+  }
+  headers.emplace_back("vulnerability");
+  cells.push_back(stable_decimal(result.vulnerability()));
   if (recovery != nullptr) {
-    for (const char* h :
-         {"demand_reads", "corrections", "scrub_passes", "scrub_words",
-          "scrub_corrections", "refetches", "unrecoverable", "sdc_reads",
-          "recovery_cycles", "recovery_energy_pj", "mean_repair_cycles"})
-      headers.emplace_back(h);
-    cells.push_back(std::to_string(recovery->demand_reads));
-    cells.push_back(std::to_string(recovery->corrections));
-    cells.push_back(std::to_string(recovery->scrub_passes));
-    cells.push_back(std::to_string(recovery->scrub_words));
-    cells.push_back(std::to_string(recovery->scrub_corrections));
-    cells.push_back(std::to_string(recovery->refetches));
-    cells.push_back(std::to_string(recovery->unrecoverable));
-    cells.push_back(std::to_string(recovery->sdc_reads));
-    cells.push_back(std::to_string(recovery->recovery_cycles));
-    cells.push_back(num(recovery->recovery_energy_pj));
-    cells.push_back(num(recovery->mean_repair_cycles()));
+    for (const auto& f : RecoveryCounters::kFields) {
+      headers.emplace_back(f.name);
+      cells.push_back(std::to_string(recovery->*f.member));
+    }
+    headers.emplace_back("recovery_energy_pj");
+    cells.push_back(stable_decimal(recovery->recovery_energy_pj));
+    headers.emplace_back("mean_repair_cycles");
+    cells.push_back(stable_decimal(recovery->mean_repair_cycles()));
   }
   CsvWriter csv(headers);
   csv.add_row(cells);

@@ -38,6 +38,10 @@ obs::LedgerRecord campaign_run_record(const CampaignResult& result,
                                       std::uint32_t shards, double wall_ms,
                                       double strikes_per_sec);
 
+/// Escapes &, <, > and " for HTML text and attribute values; shared by
+/// the campaign and saturation reports.
+std::string html_escape(std::string_view s);
+
 /// Everything `ftspm_tool report <run>` has to work with. The metrics
 /// snapshot and the grid are optional — runs recorded without
 /// --metrics-out / --sensitivity-out still get a (smaller) report.

@@ -102,26 +102,15 @@ std::string campaign_json(const CampaignResult& result,
   w.begin_object("manifest");
   write_manifest(w, manifest);
   w.end_object();
-  w.begin_object("strikes")
-      .field("total", result.strikes)
-      .field("masked", result.masked)
-      .field("dre", result.dre)
-      .field("due", result.due)
-      .field("sdc", result.sdc)
-      .field("vulnerability", result.vulnerability())
-      .end_object();
+  w.begin_object("strikes").field("total", result.strikes);
+  for (const auto& f : CampaignResult::kOutcomes)
+    w.field(f.name, result.*f.member);
+  w.field("vulnerability", result.vulnerability()).end_object();
   if (recovery != nullptr) {
-    w.begin_object("recovery")
-        .field("demand_reads", recovery->demand_reads)
-        .field("corrections", recovery->corrections)
-        .field("scrub_passes", recovery->scrub_passes)
-        .field("scrub_words", recovery->scrub_words)
-        .field("scrub_corrections", recovery->scrub_corrections)
-        .field("refetches", recovery->refetches)
-        .field("unrecoverable", recovery->unrecoverable)
-        .field("sdc_reads", recovery->sdc_reads)
-        .field("recovery_cycles", recovery->recovery_cycles)
-        .field("recovery_energy_pj", recovery->recovery_energy_pj)
+    w.begin_object("recovery");
+    for (const auto& f : RecoveryCounters::kFields)
+      w.field(f.name, recovery->*f.member);
+    w.field("recovery_energy_pj", recovery->recovery_energy_pj)
         .field("mean_repair_cycles", recovery->mean_repair_cycles())
         .end_object();
   }

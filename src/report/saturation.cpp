@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "ftspm/report/campaign_report.h"
 #include "ftspm/util/error.h"
+#include "ftspm/util/format.h"
 
 namespace ftspm::report {
 
@@ -23,27 +24,6 @@ std::uint64_t count_at(const JsonValue& v, std::string_view key) {
                 "saturation: '" + std::string(key) +
                     "' must be a non-negative integer");
   return static_cast<std::uint64_t>(d);
-}
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-std::string html_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 /// The class polyline palette (repeats past six classes).
@@ -177,27 +157,29 @@ std::string saturation_report_html(const SaturationSweep& sweep) {
   const std::size_t knee = saturation_knee_index(sweep);
   if (knee < n)
     out += "<p>Saturation knee at rung " + std::to_string(knee) +
-           " (offered rate " + num(sweep.steps[knee].rate) +
+           " (offered rate " + stable_decimal(sweep.steps[knee].rate) +
            " req/s per connection, shed rate " +
-           num(sweep.steps[knee].shed_rate * 100.0) + "%).</p>\n";
+           stable_decimal(sweep.steps[knee].shed_rate * 100.0) + "%).</p>\n";
   else
     out += "<p class=\"note\">The sweep never crossed the shed "
            "threshold — the knee lies beyond the highest rung.</p>\n";
 
   // The knee chart: per-class p95 polylines against the left axis
   // (latency ms), shed rate against the right axis (0-100%).
-  out += "<svg class=\"knee\" role=\"img\" width=\"" + num(width) +
-         "\" height=\"" + num(height) + "\" viewBox=\"0 0 " + num(width) +
-         " " + num(height) + "\">\n";
-  out += "  <rect x=\"" + num(left) + "\" y=\"" + num(top) + "\" width=\"" +
-         num(plot_w) + "\" height=\"" + num(plot_h) +
+  out += "<svg class=\"knee\" role=\"img\" width=\"" +
+         stable_decimal(width) + "\" height=\"" + stable_decimal(height) +
+         "\" viewBox=\"0 0 " + stable_decimal(width) + " " +
+         stable_decimal(height) + "\">\n";
+  out += "  <rect x=\"" + stable_decimal(left) + "\" y=\"" +
+         stable_decimal(top) + "\" width=\"" + stable_decimal(plot_w) +
+         "\" height=\"" + stable_decimal(plot_h) +
          "\" fill=\"#fafafa\" stroke=\"#bbb\"/>\n";
   // Shed-rate area (grey steps) behind the latency lines.
   if (n != 0) {
     std::string points;
     for (std::size_t i = 0; i < n; ++i)
-      points += num(x_at(i, n, left, plot_w)) + "," +
-                num(y_shed(sweep.steps[i].shed_rate)) + " ";
+      points += stable_decimal(x_at(i, n, left, plot_w)) + "," +
+                stable_decimal(y_shed(sweep.steps[i].shed_rate)) + " ";
     out += "  <polyline points=\"" + points +
            "\" fill=\"none\" stroke=\"#888\" stroke-width=\"2\" "
            "stroke-dasharray=\"6 3\"><title>shed rate</title></polyline>\n";
@@ -212,8 +194,8 @@ std::string saturation_report_html(const SaturationSweep& sweep) {
             return c.name == class_names[ci];
           });
       if (it == step.classes.end()) continue;
-      points += num(x_at(i, n, left, plot_w)) + "," +
-                num(y_latency(it->p95_ms)) + " ";
+      points += stable_decimal(x_at(i, n, left, plot_w)) + "," +
+                stable_decimal(y_latency(it->p95_ms)) + " ";
     }
     out += "  <polyline points=\"" + points +
            "\" fill=\"none\" stroke=\"" + class_color(ci) +
@@ -222,26 +204,28 @@ std::string saturation_report_html(const SaturationSweep& sweep) {
   }
   if (knee < n) {
     const double kx = x_at(knee, n, left, plot_w);
-    out += "  <line x1=\"" + num(kx) + "\" y1=\"" + num(top) + "\" x2=\"" +
-           num(kx) + "\" y2=\"" + num(top + plot_h) +
+    out += "  <line x1=\"" + stable_decimal(kx) + "\" y1=\"" +
+           stable_decimal(top) + "\" x2=\"" + stable_decimal(kx) +
+           "\" y2=\"" + stable_decimal(top + plot_h) +
            "\" stroke=\"#c62828\" stroke-width=\"2\" "
            "stroke-dasharray=\"3 3\"><title>knee</title></line>\n";
   }
   // Axis labels: offered rate under each rung, latency max on the
   // left, shed 100% on the right.
   for (std::size_t i = 0; i < n; ++i)
-    out += "  <text x=\"" + num(x_at(i, n, left, plot_w)) + "\" y=\"" +
-           num(height - 12.0) +
+    out += "  <text x=\"" + stable_decimal(x_at(i, n, left, plot_w)) +
+           "\" y=\"" + stable_decimal(height - 12.0) +
            "\" font-size=\"11\" text-anchor=\"middle\">" +
-           num(sweep.steps[i].rate) + "</text>\n";
-  out += "  <text x=\"" + num(left - 8.0) + "\" y=\"" + num(top + 12.0) +
-         "\" font-size=\"11\" text-anchor=\"end\">" + num(max_p95) +
+           stable_decimal(sweep.steps[i].rate) + "</text>\n";
+  out += "  <text x=\"" + stable_decimal(left - 8.0) + "\" y=\"" +
+         stable_decimal(top + 12.0) +
+         "\" font-size=\"11\" text-anchor=\"end\">" + stable_decimal(max_p95) +
          " ms</text>\n";
-  out += "  <text x=\"" + num(left + plot_w + 8.0) + "\" y=\"" +
-         num(top + 12.0) +
+  out += "  <text x=\"" + stable_decimal(left + plot_w + 8.0) + "\" y=\"" +
+         stable_decimal(top + 12.0) +
          "\" font-size=\"11\" text-anchor=\"start\">100% shed</text>\n";
-  out += "  <text x=\"" + num(left + plot_w / 2.0) + "\" y=\"" +
-         num(height - 0.5) +
+  out += "  <text x=\"" + stable_decimal(left + plot_w / 2.0) + "\" y=\"" +
+         stable_decimal(height - 0.5) +
          "\" font-size=\"11\" text-anchor=\"middle\">offered req/s per "
          "connection</text>\n";
   out += "</svg>\n";
@@ -260,15 +244,15 @@ std::string saturation_report_html(const SaturationSweep& sweep) {
       "<th>throughput req/s</th><th>queue max</th><th>queue mean</th>"
       "</tr>\n";
   for (const SaturationStep& step : sweep.steps)
-    out += "<tr><td>" + num(step.rate) + "</td><td>" +
+    out += "<tr><td>" + stable_decimal(step.rate) + "</td><td>" +
            std::to_string(step.sent) + "</td><td>" +
            std::to_string(step.completed) + "</td><td>" +
            std::to_string(step.overloaded) + "</td><td>" +
-           num(step.shed_rate * 100.0) + "</td><td>" +
+           stable_decimal(step.shed_rate * 100.0) + "</td><td>" +
            std::to_string(step.errors) + "</td><td>" +
-           num(step.throughput_rps) + "</td><td>" +
-           num(step.queue_depth_max) + "</td><td>" +
-           num(step.queue_depth_mean) + "</td></tr>\n";
+           stable_decimal(step.throughput_rps) + "</td><td>" +
+           stable_decimal(step.queue_depth_max) + "</td><td>" +
+           stable_decimal(step.queue_depth_mean) + "</td></tr>\n";
   out += "</table>\n";
 
   out +=
@@ -277,11 +261,12 @@ std::string saturation_report_html(const SaturationSweep& sweep) {
       "<th>p95</th><th>p99</th></tr>\n";
   for (const SaturationStep& step : sweep.steps)
     for (const SaturationClassPoint& c : step.classes)
-      out += "<tr><td>" + num(step.rate) + "</td><td>" +
+      out += "<tr><td>" + stable_decimal(step.rate) + "</td><td>" +
              html_escape(c.name) + "</td><td>" + std::to_string(c.sent) +
              "</td><td>" + std::to_string(c.completed) + "</td><td>" +
-             num(c.p50_ms) + "</td><td>" + num(c.p95_ms) + "</td><td>" +
-             num(c.p99_ms) + "</td></tr>\n";
+             stable_decimal(c.p50_ms) + "</td><td>" +
+             stable_decimal(c.p95_ms) + "</td><td>" +
+             stable_decimal(c.p99_ms) + "</td></tr>\n";
   out += "</table>\n</body>\n</html>\n";
   return out;
 }
@@ -292,17 +277,20 @@ std::string saturation_report_csv(const SaturationSweep& sweep) {
       "throughput_rps,queue_depth_max,queue_depth_mean,"
       "p50_ms,p95_ms,p99_ms\n";
   for (const SaturationStep& step : sweep.steps) {
-    out += num(step.rate) + ",_total," + std::to_string(step.sent) + "," +
-           std::to_string(step.completed) + "," +
-           std::to_string(step.overloaded) + "," +
-           std::to_string(step.errors) + "," + num(step.shed_rate) + "," +
-           num(step.throughput_rps) + "," + num(step.queue_depth_max) + "," +
-           num(step.queue_depth_mean) + ",,,\n";
+    out += stable_decimal(step.rate) + ",_total," +
+           std::to_string(step.sent) + "," + std::to_string(step.completed) +
+           "," + std::to_string(step.overloaded) + "," +
+           std::to_string(step.errors) + "," +
+           stable_decimal(step.shed_rate) + "," +
+           stable_decimal(step.throughput_rps) + "," +
+           stable_decimal(step.queue_depth_max) + "," +
+           stable_decimal(step.queue_depth_mean) + ",,,\n";
     for (const SaturationClassPoint& c : step.classes)
-      out += num(step.rate) + "," + c.name + "," + std::to_string(c.sent) +
-             "," + std::to_string(c.completed) + "," +
-             std::to_string(c.overloaded) + ",,,,,," + num(c.p50_ms) + "," +
-             num(c.p95_ms) + "," + num(c.p99_ms) + "\n";
+      out += stable_decimal(step.rate) + "," + c.name + "," +
+             std::to_string(c.sent) + "," + std::to_string(c.completed) +
+             "," + std::to_string(c.overloaded) + ",,,,,," +
+             stable_decimal(c.p50_ms) + "," + stable_decimal(c.p95_ms) + "," +
+             stable_decimal(c.p99_ms) + "\n";
   }
   return out;
 }

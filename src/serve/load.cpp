@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <span>
 #include <thread>
@@ -10,6 +9,7 @@
 #include "ftspm/serve/client.h"
 #include "ftspm/util/args.h"
 #include "ftspm/util/error.h"
+#include "ftspm/util/format.h"
 #include "ftspm/util/rng.h"
 
 namespace ftspm::serve {
@@ -58,19 +58,11 @@ std::vector<RequestClass> parse_mix(const std::string& text) {
       // weighted pick: the class can never be drawn (a confusing
       // no-op) or skews every other class's share. Require a finite
       // weight > 0 so a typo fails loudly at parse time.
-      try {
-        std::size_t consumed = 0;
-        cls.weight = std::stod(weight_text, &consumed);
-        FTSPM_REQUIRE(consumed == weight_text.size() &&
-                          std::isfinite(cls.weight) && cls.weight > 0.0,
-                      "mix weight '" + weight_text +
-                          "' must be a finite number > 0");
-      } catch (const InvalidArgument&) {
-        throw;
-      } catch (const std::exception&) {
-        throw InvalidArgument("mix weight '" + weight_text +
-                              "' must be a finite number > 0");
-      }
+      const std::optional<double> weight = parse_double(weight_text);
+      FTSPM_REQUIRE(weight.has_value() && *weight > 0.0,
+                    "mix weight '" + weight_text +
+                        "' must be a finite number > 0");
+      cls.weight = *weight;
       if (c2 != std::string::npos) {
         const std::string strikes_text = entry.substr(c2 + 1);
         const std::optional<std::uint64_t> v = parse_uint(strikes_text);
@@ -268,7 +260,6 @@ LoadReport run_load(const LoadConfig& cfg) {
     merged.name = cfg.classes[c].name;
     merged.weight = cfg.classes[c].weight;
     for (const Worker& w : workers) {
-      if (w.stats.size() != cfg.classes.size()) continue;  // Never connected.
       const ClassStats& s = w.stats[c];
       merged.sent += s.sent;
       merged.completed += s.completed;
@@ -337,23 +328,19 @@ std::string LoadReport::to_csv() const {
   std::string out =
       "class,weight,sent,completed,overloaded,cancelled,errors,shed_rate,"
       "p50_ms,p95_ms,p99_ms,mean_ms,max_ms\n";
-  char buf[64];
-  const auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return std::string(buf);
-  };
   for (const ClassStats& s : classes)
-    out += s.name + "," + num(s.weight) + "," + std::to_string(s.sent) + "," +
-           std::to_string(s.completed) + "," + std::to_string(s.overloaded) +
-           "," + std::to_string(s.cancelled) + "," +
-           std::to_string(s.errors) + "," +
-           num(s.sent != 0 ? static_cast<double>(s.overloaded) /
-                                 static_cast<double>(s.sent)
-                           : 0.0) +
-           "," + num(s.latency_ms.quantile(0.50)) +
-           "," + num(s.latency_ms.quantile(0.95)) + "," +
-           num(s.latency_ms.quantile(0.99)) + "," + num(s.latency_ms.mean()) +
-           "," + num(s.latency_ms.max()) + "\n";
+    out += s.name + "," + stable_decimal(s.weight) + "," +
+           std::to_string(s.sent) + "," + std::to_string(s.completed) + "," +
+           std::to_string(s.overloaded) + "," + std::to_string(s.cancelled) +
+           "," + std::to_string(s.errors) + "," +
+           stable_decimal(s.sent != 0 ? static_cast<double>(s.overloaded) /
+                                            static_cast<double>(s.sent)
+                                      : 0.0) +
+           "," + stable_decimal(s.latency_ms.quantile(0.50)) + "," +
+           stable_decimal(s.latency_ms.quantile(0.95)) + "," +
+           stable_decimal(s.latency_ms.quantile(0.99)) + "," +
+           stable_decimal(s.latency_ms.mean()) + "," +
+           stable_decimal(s.latency_ms.max()) + "\n";
   return out;
 }
 

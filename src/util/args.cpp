@@ -113,45 +113,42 @@ std::uint64_t ArgParser::option_uint(const std::string& name,
   return *v;
 }
 
-namespace {
-
-/// Plain decimal shape: [+-]digits[.digits][eE[+-]digits] with at
-/// least one mantissa digit. strtod alone accepts "nan", "inf",
-/// "0x1p3", and leading whitespace — none of which a rate or
-/// probability flag should ever see silently.
-bool plain_decimal_shape(const std::string& raw) {
+std::optional<double> parse_double(std::string_view text) {
+  // Shape first: [+-]digits[.digits][eE[+-]digits] with at least one
+  // mantissa digit, so strtod never sees the spellings it would
+  // otherwise accept (nan, inf, 0x1p3, leading whitespace).
   std::size_t i = 0;
-  const std::size_t n = raw.size();
-  if (i < n && (raw[i] == '+' || raw[i] == '-')) ++i;
-  std::size_t mantissa_digits = 0;
-  while (i < n && raw[i] >= '0' && raw[i] <= '9') ++i, ++mantissa_digits;
-  if (i < n && raw[i] == '.') {
+  const std::size_t n = text.size();
+  const auto digits = [&] {
+    std::size_t count = 0;
+    while (i < n && text[i] >= '0' && text[i] <= '9') ++i, ++count;
+    return count;
+  };
+  if (i < n && (text[i] == '+' || text[i] == '-')) ++i;
+  std::size_t mantissa_digits = digits();
+  if (i < n && text[i] == '.') {
     ++i;
-    while (i < n && raw[i] >= '0' && raw[i] <= '9') ++i, ++mantissa_digits;
+    mantissa_digits += digits();
   }
-  if (mantissa_digits == 0) return false;
-  if (i < n && (raw[i] == 'e' || raw[i] == 'E')) {
+  if (mantissa_digits == 0) return std::nullopt;
+  if (i < n && (text[i] == 'e' || text[i] == 'E')) {
     ++i;
-    if (i < n && (raw[i] == '+' || raw[i] == '-')) ++i;
-    std::size_t exponent_digits = 0;
-    while (i < n && raw[i] >= '0' && raw[i] <= '9') ++i, ++exponent_digits;
-    if (exponent_digits == 0) return false;
+    if (i < n && (text[i] == '+' || text[i] == '-')) ++i;
+    if (digits() == 0) return std::nullopt;
   }
-  return i == n;
+  if (i != n) return std::nullopt;
+  // Then finiteness: a huge plain decimal like 1e999 overflows to inf.
+  const double v = std::strtod(std::string(text).c_str(), nullptr);
+  if (!std::isfinite(v)) return std::nullopt;
+  return v;
 }
-
-}  // namespace
 
 double ArgParser::option_double(const std::string& name) const {
   const std::string& raw = option(name);
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  // Shape first (rejects nan/inf/hex-float spellings outright), then
-  // finiteness — a huge plain decimal like 1e999 overflows to inf.
-  FTSPM_REQUIRE(plain_decimal_shape(raw) && end && *end == '\0' &&
-                    std::isfinite(v),
+  const std::optional<double> v = parse_double(raw);
+  FTSPM_REQUIRE(v.has_value(),
                 "--" + name + " expects a finite number, got '" + raw + "'");
-  return v;
+  return *v;
 }
 
 double ArgParser::option_double(const std::string& name, double min_value,

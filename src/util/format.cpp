@@ -107,4 +107,10 @@ std::string sci(double value, int decimals) {
   return buf;
 }
 
+std::string stable_decimal(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.6g", value);
+  return buf;
+}
+
 }  // namespace ftspm

@@ -21,6 +21,14 @@ namespace ftspm {
 /// refs, the load mix and the grid CSV reader take.
 std::optional<std::uint64_t> parse_uint(std::string_view text);
 
+/// Strict finite decimal: plain `[+-]digits[.digits][e[+-]digits]`
+/// shape only. Returns nullopt for `nan`, `inf`, hex floats, leading
+/// or trailing whitespace, trailing garbage, and values that overflow
+/// to infinity — all of which strtod and std::stod accept. The one
+/// parser behind every floating-point flag, the load mix weights and
+/// the partition weights.
+std::optional<double> parse_double(std::string_view text);
+
 class ArgParser {
  public:
   /// `program` and `summary` head the usage text.
@@ -44,10 +52,7 @@ class ArgParser {
   /// values above `max` with InvalidArgument (exit 2 at the CLI).
   std::uint64_t option_uint(const std::string& name,
                             std::uint64_t max = UINT64_MAX) const;
-  /// Strict finite decimal: plain `[+-]digits[.digits][e[+-]digits]`
-  /// shape only — rejects `nan`, `inf`, hex floats, leading
-  /// whitespace, and trailing garbage with InvalidArgument (exit 2 at
-  /// the CLI), all of which strtod would happily accept.
+  /// parse_double, or InvalidArgument (exit 2 at the CLI).
   double option_double(const std::string& name) const;
   /// option_double plus an inclusive [min_value, max_value] range
   /// check, for probability- and rate-shaped flags.

@@ -31,4 +31,9 @@ std::string human_duration(double seconds);
 /// Scientific notation with a small mantissa: sci(3.2e13) -> "3.2e+13".
 std::string sci(double value, int decimals = 1);
 
+/// Six significant digits ("%.6g"): 0.123456789 -> "0.123457". The one
+/// spelling of every non-integer value in CSV, HTML and load reports,
+/// stable byte for byte across runs.
+std::string stable_decimal(double value);
+
 }  // namespace ftspm

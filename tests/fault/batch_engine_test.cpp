@@ -165,8 +165,12 @@ TEST(BatchEngine, MatchesReferenceOnExoticGeometries) {
 }
 
 TEST(BatchEngine, MatchesReferenceWithSpillSizedStrikes) {
-  // max_flips beyond CampaignScratch::kInlineHits exercises the spill
-  // buffer and the multi-word straddle path in the same run.
+  // max_flips beyond CampaignScratch::kInlineHits lifts the flip cap
+  // past the inline hit array, with the multi-word straddle and
+  // interleaved paths in the same run. The >3-bit tail is
+  // 4 + Geometric(1/2), so a strike passes kInlineHits with probability
+  // about 2^-61 and none here reaches the spill buffer;
+  // InterleavedGatherSpillsPastInlineHits drives that buffer itself.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   CampaignConfig cfg = config_for(0xfeedf00d, 20'000);
   cfg.max_flips = CampaignScratch::kInlineHits + 32;

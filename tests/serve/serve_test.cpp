@@ -441,5 +441,18 @@ TEST(LoadMixTest, StrikesMustBePlainPositiveDigits) {
     EXPECT_THROW(parse_mix(bad), InvalidArgument) << bad;
 }
 
+TEST(LoadMixTest, WeightsMustBePlainFiniteDecimals) {
+  const std::vector<RequestClass> mix = parse_mix("a:1.5:5,b:2e0,c:+.5");
+  ASSERT_EQ(mix.size(), 3u);
+  EXPECT_EQ(mix[0].weight, 1.5);
+  EXPECT_EQ(mix[1].weight, 2.0);
+  EXPECT_EQ(mix[2].weight, 0.5);
+  // std::stod skipped a leading blank and read hex floats ("0x1p3" as
+  // 8), nan and inf; each is malformed, as are zero and negatives.
+  for (const char* bad : {"a: 1:5", "a:0x1p3", "a:nan", "a:inf", "a:1e999",
+                          "a:1 ", "a:0", "a:-1", "a:"})
+    EXPECT_THROW(parse_mix(bad), InvalidArgument) << bad;
+}
+
 }  // namespace
 }  // namespace ftspm::serve

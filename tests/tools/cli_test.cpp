@@ -211,8 +211,10 @@ TEST(CliTest, JobsWithTrailingGarbageFailsWithUsageExit) {
 
 TEST(CliTest, PartitionBadWeightFailsWithUsageExit) {
   // "jpeg:abc" used to escape as an uncaught std::invalid_argument from
-  // std::stod (exit 1, no usage hint); so did a trailing colon.
-  for (const char* spec : {"jpeg:abc", "jpeg:", "jpeg:1.5x", "jpeg:-2"}) {
+  // std::stod (exit 1, no usage hint); so did a trailing colon. strtod
+  // then skipped the blank in "jpeg: 2" and read "0x1p3" as 8.
+  for (const char* spec : {"jpeg:abc", "jpeg:", "jpeg:1.5x", "jpeg:-2",
+                           "'jpeg: 2'", "jpeg:0x1p3"}) {
     const CommandResult r =
         run_tool(std::string("partition ") + spec + " --scale 64");
     EXPECT_EQ(r.exit_code, 2) << spec << "\n" << r.output;

@@ -48,7 +48,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -646,16 +645,11 @@ int cmd_partition(int argc, const char* const* argv) {
     double weight = 1.0;
     if (const auto colon = spec.rfind(':'); colon != std::string::npos) {
       name = spec.substr(0, colon);
-      // std::stod would throw std::invalid_argument (exit 1, no usage
-      // hint) on "jpeg:abc" and silently accept "jpeg:1.5x"; parse with
-      // strtod and demand full consumption of a positive finite value.
-      const std::string text = spec.substr(colon + 1);
-      char* end = nullptr;
-      weight = std::strtod(text.c_str(), &end);
-      if (text.empty() || end != text.c_str() + text.size() ||
-          !std::isfinite(weight) || weight <= 0.0)
+      const std::optional<double> w = parse_double(spec.substr(colon + 1));
+      if (!w || *w <= 0.0)
         throw InvalidArgument("bad weight in '" + spec +
                               "': expected a positive number after ':'");
+      weight = *w;
     }
     workloads.push_back(resolve_workload(name, args.option_uint("scale")));
     weights.push_back(weight);
@@ -910,19 +904,7 @@ int cmd_campaign(int argc, const char* const* argv) {
                 "--sensitivity-buckets must be positive");
   if (!sensitivity_out.empty()) hooks.sensitivity_buckets = sensitivity_buckets;
 
-  serve::CampaignOutcome outcome;
-  {
-    // --time books the run into the obs wall-timer registry (forcing
-    // observability on for the duration so the timer is live); the
-    // reading happens after the scope closes the span.
-    std::optional<obs::EnabledScope> timed;
-    std::optional<obs::ScopedTimer> span;
-    if (args.flag("time")) {
-      timed.emplace(true);
-      span.emplace("campaign.wall");
-    }
-    outcome = serve::run_campaign_spec(spec, hooks);
-  }
+  const serve::CampaignOutcome outcome = serve::run_campaign_spec(spec, hooks);
   // Informational only, and on stderr: stdout must stay byte-identical
   // for a given (seed, strikes, shard count) whatever --jobs says.
   std::cerr << "shards " << outcome.used_shards << ", jobs "
@@ -938,13 +920,9 @@ int cmd_campaign(int argc, const char* const* argv) {
   if (args.flag("time")) {
     // Wall time is machine-dependent, so like the shard note it goes to
     // stderr: stdout stays byte-identical run to run.
-    const obs::TimerStat& wall = obs::registry().timer("campaign.wall");
-    const double seconds = static_cast<double>(wall.total_ns()) * 1e-9;
-    const double rate = seconds > 0.0
-                            ? static_cast<double>(spec.strikes) / seconds
-                            : 0.0;
-    std::cerr << "wall time " << fixed(seconds * 1e3, 3) << " ms, "
-              << with_commas(static_cast<std::uint64_t>(rate))
+    std::cerr << "wall time " << fixed(outcome.wall_ms, 3) << " ms, "
+              << with_commas(
+                     static_cast<std::uint64_t>(outcome.strikes_per_sec))
               << " strikes/sec\n";
   }
   const CampaignResult& r = outcome.result.strikes;
@@ -958,10 +936,8 @@ int cmd_campaign(int argc, const char* const* argv) {
     fields.push_back(obs::TraceArg::num(
         "shards", static_cast<std::uint64_t>(outcome.used_shards)));
     fields.push_back(obs::TraceArg::num("strikes", r.strikes));
-    fields.push_back(obs::TraceArg::num("masked", r.masked));
-    fields.push_back(obs::TraceArg::num("dre", r.dre));
-    fields.push_back(obs::TraceArg::num("due", r.due));
-    fields.push_back(obs::TraceArg::num("sdc", r.sdc));
+    for (const auto& f : CampaignResult::kOutcomes)
+      fields.push_back(obs::TraceArg::num(f.name, r.*f.member));
     fields.push_back(obs::TraceArg::num("vulnerability", r.vulnerability()));
     if (rec != nullptr) {
       fields.push_back(obs::TraceArg::num("corrections", rec->corrections));
